@@ -9,7 +9,6 @@ a provenance comment (tool version, config hash, seed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -21,11 +20,9 @@ import yaml
 
 from . import __version__
 from .errors import DisaggError, InputError, SolverError
-from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, aggregate_stats,
-                         compute_metrics, generate_scenario,
-                         penetration_experiment, run_cv)
-from .methods import (CapacityVector, MethodParams, disaggregate, fit,
-                      predict_generation)
+from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, compute_metrics,
+                         generate_scenario, penetration_experiment, run_cv)
+from .methods import CapacityVector, MethodParams, disaggregate, fit
 from .solar import build_bank, site_from_config
 from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
                          UNIT_W_PER_M2, TimeSeries, ingest_csv,
@@ -100,7 +97,6 @@ def cmd_synth(args) -> int:
     data = generate_scenario(spec)
     comments = [_prov_comment(spec.to_dict(), spec.seed)]
     out = args.out_dir.rstrip("/")
-    import os
     os.makedirs(out, exist_ok=True)
     for name, series in (("p", data.p), ("ghi", data.ghi),
                          ("t_air", data.t_air), ("g_true", data.g_true),
@@ -283,7 +279,6 @@ def cmd_sweep(args) -> int:
         raise InputError("sweep config lists no methods")
     data = generate_scenario(spec)
 
-    import os
     out = args.out_dir.rstrip("/")
     os.makedirs(out, exist_ok=True)
     prov = _prov_comment(cfg, spec.seed)

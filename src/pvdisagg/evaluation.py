@@ -10,15 +10,14 @@ days.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError
 from .methods import MethodParams, fit, predict_generation
-from .solar import (PlaneBank, PlaneConfig, SiteConfig, TemperatureModel,
-                    build_bank, clearsky_ghi, default_bank, sun_position)
+from .solar import (PlaneBank, PlaneConfig, SiteConfig, build_bank,
+                    clearsky_ghi, default_bank, sun_position)
 from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
                          UNIT_W_PER_M2, TimeSeries, check_aligned,
                          make_folds, mask_night, resample_average)
@@ -53,7 +52,9 @@ def compute_metrics(g_true: TimeSeries, g_hat: TimeSeries,
     nrmse = float(np.sqrt(np.mean(e * e)) / g_capacity * 100.0)
     nmae = float(np.mean(np.abs(e)) / g_capacity * 100.0)
     nme = float(np.mean(e) / g_capacity * 100.0)
-    assert nrmse + 1e-12 >= nmae >= abs(nme) - 1e-12
+    if not nrmse + 1e-12 >= nmae >= abs(nme) - 1e-12:
+        raise AssertionError(
+            f"metric ordering violated: nRMSE {nrmse} nMAE {nmae} nME {nme}")
     return Metrics(nrmse, nmae, nme, len(g_true))
 
 
@@ -289,7 +290,10 @@ def _battery_series(spec: ScenarioSpec, g: np.ndarray,
             b = max(b, -soc / dt_h)
         batt[k0:k1] = b
         soc += b * dt_h
-        assert -1e-9 <= soc <= spec.battery_kwh + 1e-9
+        if not -1e-9 <= soc <= spec.battery_kwh + 1e-9:
+            raise AssertionError(
+                f"battery state of charge {soc} kWh outside "
+                f"[0, {spec.battery_kwh}]")
     return batt
 
 
@@ -402,13 +406,6 @@ class SweepResult:
     def summary(self, metric: str = "nrmse") -> dict:
         """Spread of the per-grid-point fold means across the whole grid."""
         return aggregate_stats([g[metric] for g in self.fold_means(metric)])
-
-
-def _day_slice(series: TimeSeries, days: Sequence[int],
-               spd: int) -> TimeSeries:
-    idx = np.concatenate([np.arange(d * spd, (d + 1) * spd) for d in days])
-    return TimeSeries(series.start_epoch, series.period,
-                      series.values[idx], series.unit)
 
 
 def _day_index(days: Sequence[int], spd: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from the generation signature:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,6 +36,19 @@ from .solar import PlaneBank
 from .timeseries import UNIT_KW, TimeSeries
 
 KW_PER_WM2 = 1e-3  # irradiance templates are W/m^2, capacities kWp
+
+# projected-Newton envelope fit of B and C
+_ENVELOPE_TOL = 1e-8       # relative projected-gradient certificate
+# Each step's capacity QP has a Hessian that grows with the sample count
+# (columns are scaled to at most 1) and can be nearly flat along some
+# plane mixes, where a KKT residual cannot see an error in alpha.  A
+# per-sample ridge of 1e-12 makes solve_qp's proximal iteration exact in
+# 1-3 steps along those directions too.
+_NEWTON_QP_TOL = 1e-14
+_NEWTON_RIDGE = 1e-12
+_MAX_NEWTON_STEPS = 100
+_ARMIJO = 1e-4             # sufficient-decrease fraction of the backtracking
+_MIN_STEP = 1e-12
 
 
 @dataclass
@@ -199,116 +212,146 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
     return CapacityVector(alpha, bank.geometry_hash, report)
 
 
-def _stacked_lsq(p: TimeSeries, bank: PlaneBank,
-                 mask: Optional[np.ndarray]):
-    """Shared model for B and C: variables x = [L (k); alpha_scaled (j)].
+def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
+    """Capacities of B and C by projected Newton steps on the envelope.
 
-    Returns (h, f, scale) for the residual term
-    sum_{masked k} (P_k - (L_k - G_k))^2 written as |S x - P|^2 with
-    S = [E, -C]; h = S^T S and f = S^T P so that
-    1/2 x^T h x - f^T x equals half that squared norm (constant dropped).
+    With y = P + C a (C the column-scaled bank in kW, a the scaled
+    capacities), demand(y) returns the best demand L for that y, the
+    starts of L's runs and the penalty pen(L), so the objective
+        F(a) = min_{L >= 0} 0.5 |L - y|^2 + pen(L)
+    is evaluated exactly.  F is convex and piecewise quadratic in a, with
+    gradient C'(y - L) and, on the piece that holds L's runs and signs,
+    Hessian W'W: W is C with every positive run demeaned and every clipped
+    (zero) run kept as it is.  Each step minimizes that quadratic model
+    over a >= 0 with solve_qp and backtracks (Armijo) on the exact F; the
+    loop stops when the projected gradient, relative to the size of the
+    terms it sums, is at most _ENVELOPE_TOL.  Returns (capacities,
+    demand trajectory).
     """
     k, j = len(p), bank.n_planes
+    if k < j + 1:
+        raise ValueError("not enough usable samples for the fit")
+    t0 = time.perf_counter()
     m = bank.irradiance.T * KW_PER_WM2  # (k, j)
     scale = _column_scales(m)
-    c_dense = m / scale
-    keep = np.arange(k) if mask is None else np.flatnonzero(mask)
-    if keep.size < j + 1:
-        raise ValueError("not enough usable samples for the fit")
-    sel = sp.csr_matrix((np.ones(keep.size), (np.arange(keep.size), keep)),
-                        shape=(keep.size, k))
-    s_mat = sp.hstack([sel, sp.csc_matrix(-c_dense[keep])], format="csc")
-    h = (s_mat.T @ s_mat).tocsc()
-    f = s_mat.T @ p.values[keep]
-    return h, f, scale
+    c_s = m / scale
+
+    def evaluate(a):
+        y = p.values + c_s @ a
+        l, starts, pen = demand(y)
+        r = y - l
+        return 0.5 * r @ r + pen, l, starts, r
+
+    a = np.zeros(j)
+    obj, l, starts, r = evaluate(a)
+    evaluations = 1
+    report = SolverReport(status="max_iter", primal_residual=0.0)
+    for report.iterations in range(_MAX_NEWTON_STEPS + 1):
+        grad = c_s.T @ r
+        counts = np.diff(np.append(starts, k))
+        run_means = np.add.reduceat(c_s, starts, axis=0) / counts[:, None]
+        w = c_s - np.repeat(run_means, counts, axis=0) * (l > 0)[:, None]
+        hess = w.T @ w
+        report.dual_residual = float(
+            np.max(np.abs(a - np.clip(a - grad, 0.0, None)))
+            / (1.0 + np.max(np.abs(c_s).T @ np.abs(r))))
+        if report.dual_residual <= _ENVELOPE_TOL:
+            report.status, report.converged = "solved", True
+            break
+        if report.iterations == _MAX_NEWTON_STEPS:
+            break
+        target, _ = solve_qp(QuadraticProgram(
+            hess, hess @ a - grad, nonneg=np.ones(j, dtype=bool),
+            beta_reg=_NEWTON_RIDGE * k), tol=_NEWTON_QP_TOL)
+        slope = float(grad @ (target - a))
+        t = 1.0
+        while slope < 0 and t >= _MIN_STEP:
+            trial = evaluate((1.0 - t) * a + t * target)
+            evaluations += 1
+            if trial[0] <= obj + _ARMIJO * t * slope:
+                break
+            t *= 0.5
+        else:
+            report.status = "line_search"
+            break
+        a = (1.0 - t) * a + t * target
+        obj, l, starts, r = trial
+    eig = np.linalg.eigvalsh(hess)
+    report.objective = obj
+    report.duality_gap = float(a @ grad)
+    report.notes["rank_deficient"] = bool(
+        eig[0] <= j * np.finfo(float).eps * max(eig[-1], 0.0))
+    report.notes["evaluations"] = evaluations
+    report.wall_time = time.perf_counter() - t0
+    return (CapacityVector(_clip_alpha(a / scale), bank.geometry_hash,
+                           report), p.with_values(l, unit=UNIT_KW))
 
 
-def _diff_rows(k: int, j: int, bounds) -> sp.csc_matrix:
-    """First-difference operator on the L block, segment-local rows only."""
-    rows, cols, vals = [], [], []
-    r = 0
-    for a, b in bounds:
-        for i in range(a + 1, b):
-            rows += [r, r]
-            cols += [i - 1, i]
-            vals += [-1.0, 1.0]
-            r += 1
-    if r == 0:
-        raise ValueError("no difference rows (segments too short)")
-    return sp.csc_matrix((vals, (rows, cols)), shape=(r, k + j))
+def _block_demand(starts: np.ndarray, k: int):
+    """Demand map of C: each block's mean of y, clipped at zero."""
+    counts = np.diff(np.append(starts, k))
+
+    def demand(y):
+        level = np.add.reduceat(y, starts) / counts
+        return np.repeat(np.clip(level, 0.0, None), counts), starts, 0.0
+    return demand
 
 
 def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
-                 mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None,
-                 tol: float = 1e-6,
-                 max_iter: int = 50000,
-                 beta_reg: float = 1e-4):
+                 segment_length: Optional[int] = None):
     """Joint (L, alpha) quadratic fit with a total-variation penalty on L.
 
     Objective: sum (P - (L - G))^2 + lam * sum |L_{i+1} - L_i|, with
-    L >= 0 and alpha >= 0.  Returns (capacities, demand trajectory).
+    L >= 0 and alpha >= 0; differences never straddle a segment boundary.
+    For fixed alpha the best L is the total-variation prox of P + G with
+    weight lam/2, clipped at zero (solve_l1_trend_qp).  Returns
+    (capacities, demand trajectory).
     """
     _check_bank(p, bank)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    k, j = len(p), bank.n_planes
-    h, f, scale = _stacked_lsq(p, bank, mask)
-    d_op = _diff_rows(k, j, _segment_bounds(k, segment_length))
-    prog = QuadraticProgram(h, f, nonneg=np.ones(k + j, dtype=bool),
-                            beta_reg=beta_reg)
-    # h is S^T S, so the quadratic part carries 1/2 |Sx - P|^2; halve the
-    # penalty weight to keep the stated lam ratio.
-    x, report = solve_l1_trend_qp(prog, d_op, lam / 2.0,
-                                  tol=tol, max_iter=max_iter)
-    alpha = _clip_alpha(x[k:k + j] / scale)
-    l_hat = p.with_values(np.clip(x[:k], 0.0, None), unit=UNIT_KW)
-    return CapacityVector(alpha, bank.geometry_hash, report), l_hat
+    k = len(p)
+    if lam == 0:
+        # L is free per sample, as in C with c = 1; the trend solver would
+        # hand this case to a dense k x k solve_qp
+        demand = _block_demand(np.arange(k), k)
+    else:
+        seg_starts = np.array([a for a, _ in
+                               _segment_bounds(k, segment_length)])
+        # rows L[i] - L[i-1], none across a segment start
+        i = np.setdiff1d(np.arange(1, k), seg_starts)
+        eye = sp.identity(k, format="csr")
+        d_op = eye[i] - eye[i - 1]
+        nonneg = np.ones(k, dtype=bool)
+        mu = lam / 2.0  # the fit's 0.5 |L - y|^2 halves the stated ratio
+
+        def demand(y):
+            l, _ = solve_l1_trend_qp(QuadraticProgram(eye, y, nonneg=nonneg),
+                                     d_op, mu)
+            starts = np.union1d(seg_starts,
+                                np.flatnonzero(l[1:] != l[:-1]) + 1)
+            return l, starts, mu * float(np.sum(np.abs(d_op @ l)))
+    return _fit_envelope(p, bank, demand)
 
 
 def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
-                 mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None,
-                 tol: float = 1e-6,
-                 max_iter: int = 50000,
-                 beta_reg: float = 1e-4):
+                 segment_length: Optional[int] = None):
     """Joint (L, alpha) quadratic fit with L constant on length-c blocks.
 
     Blocks restart at every segment boundary; a trailing shorter block is
-    constrained the same way.  c = 1 leaves L free per sample (the fit is
-    then an interpolation with zero residual; capacities are meaningless
-    but the solve is still well-posed thanks to the nonnegativity and the
-    quadratic regularization).
+    constrained the same way.  For fixed alpha the best level of each
+    block is its mean of P + G, clipped at zero.  c = 1 leaves L free per
+    sample (the fit is then an interpolation with zero residual and the
+    capacities are not identified).
     """
     _check_bank(p, bank)
     c = int(c)
     if c < 1:
         raise ValueError("c must be a positive integer")
-    k, j = len(p), bank.n_planes
-    h, f, scale = _stacked_lsq(p, bank, mask)
-
-    rows, cols, vals = [], [], []
-    r = 0
-    for a, b in _segment_bounds(k, segment_length):
-        for start in range(a, b, c):
-            stop = min(start + c, b)
-            for i in range(start + 1, stop):
-                rows += [r, r]
-                cols += [i - 1, i]
-                vals += [-1.0, 1.0]
-                r += 1
-    a_eq = None
-    b_eq = None
-    if r:
-        a_eq = sp.csc_matrix((vals, (rows, cols)), shape=(r, k + j))
-        b_eq = np.zeros(r)
-    prog = QuadraticProgram(h, f, a_eq=a_eq, b_eq=b_eq,
-                            nonneg=np.ones(k + j, dtype=bool),
-                            beta_reg=beta_reg)
-    x, report = solve_qp(prog, tol=tol, max_iter=max_iter)
-    alpha = _clip_alpha(x[k:k + j] / scale)
-    l_hat = p.with_values(np.clip(x[:k], 0.0, None), unit=UNIT_KW)
-    return CapacityVector(alpha, bank.geometry_hash, report), l_hat
+    k = len(p)
+    starts = np.concatenate([np.arange(a, b, c) for a, b in
+                             _segment_bounds(k, segment_length)])
+    return _fit_envelope(p, bank, _block_demand(starts, k))
 
 
 def fit_method_d(p: TimeSeries, bank: PlaneBank,

@@ -1,15 +1,18 @@
-"""Convex solvers: operator-splitting QP/LP core, L1 trend filtering, IRLS.
+"""Convex solvers: dense exact QP, 1-D total-variation prox, LP, IRLS.
 
 All quadratic problems use the convention  minimize 0.5*x'Hx - f'x , all
-linear problems  minimize c'x .  The shared engine solves the box form
+linear problems  minimize c'x .  Every solver here is exact up to rounding
+on the sizes it is given:
 
-    minimize 0.5*x'Px + q'x   subject to  l <= Ax <= u
-
-by ADMM over a quasi-definite KKT factorization, with Ruiz equilibration,
-adaptive step size, infeasibility certificates, and an active-set polish
-step that refines the returned point to near machine precision.  No
-external solver package is used; scipy supplies the sparse LU factorization
-and the nonnegative least-squares subproblem of the robust fitter.
+  solve_qp           proximal-point iteration on the ridge: one Cholesky
+                     factor, then one exact bounded least-squares solve per
+                     step (nnls, BVLS or a triangular solve), stopped on the
+                     KKT residual of the unridged problem;
+  solve_l1_trend_qp  the prox of a total-variation penalty by Condat's
+                     direct algorithm, clipped at zero for nonnegative
+                     variables;
+  solve_lp           HiGHS through scipy.optimize.linprog;
+  irls_bisquare      majorize-minimize robust regression on nnls.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg import eigh as dense_eigh
 from scipy.optimize import nnls
 
@@ -29,16 +33,6 @@ from .errors import (
     NotConvexError,
     UnboundedError,
 )
-
-# ADMM constants
-_SIGMA = 1e-6          # x-regularization inside the splitting
-_ALPHA_RELAX = 1.6     # over-relaxation
-_RHO_EQ_BOOST = 1e3    # stiffer step on equality rows
-_RHO_MIN, _RHO_MAX = 1e-6, 1e6
-_EPS_CERT = 1e-9       # infeasibility certificate tolerance
-_POLISH_DELTA = 1e-9
-_POLISH_REFINE = 6
-_COARSE_TOL = 1e-4     # first-stage ADMM accuracy before polishing
 
 
 @dataclass
@@ -73,27 +67,21 @@ class SolverReport:
 
 @dataclass
 class LinearProgram:
-    """minimize c'x  s.t.  a_ub x <= b_ub, a_eq x = b_eq, x >= lb (per-var)."""
+    """minimize c'x  s.t.  a_ub x <= b_ub, x >= lb (per-var)."""
 
     c: np.ndarray
     a_ub: object = None
     b_ub: np.ndarray = None
-    a_eq: object = None
-    b_eq: np.ndarray = None
     lb: np.ndarray = None  # -inf entries mean unbounded below
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         n = self.c.size
-        for name in ("a_ub", "a_eq"):
-            mat = getattr(self, name)
-            if mat is not None and mat.shape[1] != n:
-                raise ValueError(f"{name} has {mat.shape[1]} columns, "
-                                 f"expected {n}")
+        if self.a_ub is not None and self.a_ub.shape[1] != n:
+            raise ValueError(f"a_ub has {self.a_ub.shape[1]} columns, "
+                             f"expected {n}")
         if (self.a_ub is None) != (self.b_ub is None):
             raise ValueError("a_ub and b_ub must come together")
-        if (self.a_eq is None) != (self.b_eq is None):
-            raise ValueError("a_eq and b_eq must come together")
         if self.lb is not None:
             self.lb = np.asarray(self.lb, dtype=float)
             if self.lb.size != n:
@@ -102,17 +90,15 @@ class LinearProgram:
 
 @dataclass
 class QuadraticProgram:
-    """minimize 0.5*x'Hx - f'x  s.t.  a_eq x = b_eq, x[nonneg] >= 0.
+    """minimize 0.5*x'Hx - f'x  s.t.  x[nonneg] >= 0.
 
-    H must be symmetric; it is ridge-regularized by beta_reg before the
-    splitting iterations (the final polish refines against the original H,
-    so the returned minimizer is not biased by the ridge).
+    H must be symmetric positive semidefinite; beta_reg is the ridge of the
+    positive-definiteness gate and the step weight of solve_qp's proximal
+    iteration, which converges to the minimizer of the unridged problem.
     """
 
     h: object
     f: np.ndarray
-    a_eq: object = None
-    b_eq: np.ndarray = None
     nonneg: np.ndarray = None  # boolean per variable; None = unconstrained
     beta_reg: float = 1e-4
 
@@ -121,10 +107,6 @@ class QuadraticProgram:
         n = self.f.size
         if self.h.shape != (n, n):
             raise ValueError(f"H is {self.h.shape}, expected ({n},{n})")
-        if (self.a_eq is None) != (self.b_eq is None):
-            raise ValueError("a_eq and b_eq must come together")
-        if self.a_eq is not None and self.a_eq.shape[1] != n:
-            raise ValueError("a_eq column count mismatch")
         if self.nonneg is not None:
             self.nonneg = np.asarray(self.nonneg, dtype=bool)
             if self.nonneg.size != n:
@@ -133,367 +115,27 @@ class QuadraticProgram:
             raise ValueError("beta_reg must be >= 0")
 
 
-def _colmax(mat) -> np.ndarray:
-    m = np.abs(mat).max(axis=0)
-    return np.asarray(m.todense()).ravel() if sp.issparse(m) else \
-        np.asarray(m).ravel()
-
-
-def _rowmax(mat) -> np.ndarray:
-    m = np.abs(mat).max(axis=1)
-    return np.asarray(m.todense()).ravel() if sp.issparse(m) else \
-        np.asarray(m).ravel()
-
-
-def _ruiz_equilibrate(p_mat, q_vec, a_mat, iters=10):
-    """Symmetric inf-norm equilibration of the stacked [P A'; A 0] matrix."""
-    n = q_vec.size
-    m = a_mat.shape[0]
-    d = np.ones(n)
-    e = np.ones(m)
-    cost_scale = 1.0
-    ps = p_mat.copy()
-    qs = q_vec.copy()
-    as_ = a_mat.copy()
-    for _ in range(iters):
-        col = np.sqrt(np.maximum(np.maximum(_colmax(ps), _colmax(as_)),
-                                 1e-12))
-        dd = np.clip(1.0 / col, 1e-4, 1e4)
-        row = np.sqrt(np.maximum(_rowmax(as_), 1e-12))
-        ee = np.clip(1.0 / row, 1e-4, 1e4)
-        d_diag = sp.diags(dd)
-        e_diag = sp.diags(ee)
-        ps = (d_diag @ ps @ d_diag).tocsc()
-        qs = dd * qs
-        as_ = (e_diag @ as_ @ d_diag).tocsc()
-        d *= dd
-        e *= ee
-        # cost scaling keeps the quadratic and linear parts comparable
-        pc = _colmax(ps)
-        denom = max(np.mean(pc) if pc.size else 0.0,
-                    np.max(np.abs(qs)) if qs.size else 0.0)
-        if denom > 1e-12:
-            g = 1.0 / denom
-            g = min(max(g, 1e-6), 1e6)
-            ps = ps * g
-            qs = qs * g
-            cost_scale *= g
-    return ps, qs, as_, d, e, cost_scale
-
-
-def _finite_dot(bound: np.ndarray, y_part: np.ndarray) -> float:
-    mask = np.isfinite(bound)
-    return float(bound[mask] @ y_part[mask])
-
-
-def _duality_gap(p_orig, q_orig, x, y, l, u) -> float:
-    y_pos = np.clip(y, 0.0, None)
-    y_neg = np.clip(y, None, 0.0)
-    px = p_orig @ x
-    return float(x @ px + q_orig @ x
-                 + _finite_dot(u, y_pos) + _finite_dot(l, y_neg))
-
-
-def _polish(p_pol, q_orig, a_orig, l, u, x, y, eps_act=1e-5,
-            max_rounds=6):
-    """Active-set refinement against the (unregularized) target problem.
-
-    Returns (x, y, ok).  A row seeds the active set only when the iterate
-    actually sits near that bound AND the multiplier sign agrees — the
-    sign alone is unreliable because inactive rows carry tiny multiplier
-    noise, and pinning a far-from-bound row would wreck the polished
-    point.  Equality rows are always kept.  The reduced KKT system is
-    solved with a small diagonal shift plus iterative refinement against
-    the unshifted system.
-
-    Stationarity alone does not certify a convex-QP optimum: a mispinned
-    row makes the solve return a wrong-signed multiplier, and a row left
-    free can come back outside its bounds, while residuals and duality
-    gap all read zero.  So after each solve the set is repaired — pinned
-    rows with wrong-signed multipliers are freed, violated free rows are
-    pinned on the violated side — and only a feasible, sign-correct
-    point is accepted.  Sign convention: stationarity here is
-    P x + q + A'y = 0, so an active lower bound carries y <= 0 and an
-    active upper bound y >= 0.
-    """
-    m, n = a_orig.shape
-    a_csr = a_orig.tocsr()
-    ax = a_csr @ x
-    eq_row = np.isfinite(l) & np.isfinite(u) & (u - l < 1e-11)
-    near_l = np.isfinite(l) & (ax - l <= eps_act * (1.0 + np.abs(l)))
-    near_u = np.isfinite(u) & (u - ax <= eps_act * (1.0 + np.abs(u)))
-    lower_active = near_l & (y < 0) & ~eq_row
-    upper_active = near_u & (y > 0) & ~eq_row
-    p_csc = sp.csc_matrix(p_pol)
-    for _ in range(max_rounds):
-        active = lower_active | upper_active | eq_row
-        n_act = int(active.sum())
-        a_act = sp.csc_matrix(a_csr[active])
-        b_act = np.where(lower_active[active], l[active], u[active])
-        kkt_true = sp.bmat([
-            [p_csc, a_act.T],
-            [a_act, sp.csc_matrix((n_act, n_act))],
-        ], format="csc") if n_act else p_csc
-        shift = sp.diags(np.concatenate([np.full(n, _POLISH_DELTA),
-                                         np.full(n_act, -_POLISH_DELTA)]))
-        try:
-            lu = spla.splu((kkt_true + shift).tocsc())
-        except RuntimeError:
-            return x, y, False
-        rhs = np.concatenate([-q_orig, b_act])
-        sol = lu.solve(rhs)
-        for _ in range(_POLISH_REFINE):
-            resid = rhs - kkt_true @ sol
-            sol = sol + lu.solve(resid)
-        if not np.all(np.isfinite(sol)):
-            return x, y, False
-        x_new = sol[:n]
-        y_new = np.zeros(m)
-        y_new[active] = sol[n:]
-
-        y_tol = 1e-9 * (1.0 + float(np.max(np.abs(y_new), initial=0.0)))
-        bad_low = lower_active & (y_new > y_tol)
-        bad_up = upper_active & (y_new < -y_tol)
-        ax_new = a_csr @ x_new
-        free = ~active
-        viol_l = free & np.isfinite(l) \
-            & (ax_new < l - 1e-9 * (1.0 + np.abs(l)))
-        viol_u = free & np.isfinite(u) \
-            & (ax_new > u + 1e-9 * (1.0 + np.abs(u)))
-        if not (bad_low.any() or bad_up.any()
-                or viol_l.any() or viol_u.any()):
-            return x_new, y_new, True
-        lower_active = (lower_active & ~bad_low) | viol_l
-        upper_active = (upper_active & ~bad_up) | viol_u
-    return x, y, False
-
-
-def _residuals(p_mat, q_vec, a_mat, x, y, z):
-    r_prim = a_mat @ x - z
-    r_dual = p_mat @ x + q_vec + a_mat.T @ y
-    return (float(np.max(np.abs(r_prim))) if r_prim.size else 0.0,
-            float(np.max(np.abs(r_dual))) if r_dual.size else 0.0)
-
-
-def _solve_box_qp(p_mat, q_vec, a_mat, l, u, *, tol=1e-6, max_iter=50000,
-                  polish_h=None, check_every=25):
-    """ADMM on  min 0.5 x'Px + q'x  s.t.  l <= Ax <= u.  Returns x, y, report.
-
-    Raises InfeasibleError / UnboundedError when a certificate is found.
-    polish_h, when given, replaces P in the final active-set refinement and
-    in the reported objective/residuals (used to undo ridge regularization).
-    """
-    t0 = time.perf_counter()
-    p_mat = sp.csc_matrix(p_mat)
-    a_mat = sp.csc_matrix(a_mat)
-    n = q_vec.size
-    m = a_mat.shape[0]
-    l = np.asarray(l, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if np.any(l > u):
-        raise InfeasibleError("a constraint row has l > u")
-    p_report = sp.csc_matrix(polish_h) if polish_h is not None else p_mat
-
-    ps, qs, as_, d, e, c_cost = _ruiz_equilibrate(p_mat, q_vec, a_mat)
-    ls = e * l
-    us = e * u
-
-    eq_row = (us - ls) < 1e-11
-    rho = 0.1
-
-    def rho_vec_for(r):
-        v = np.full(m, r)
-        v[eq_row] = r * _RHO_EQ_BOOST
-        return np.clip(v, _RHO_MIN, _RHO_MAX)
-
-    rho_vec = rho_vec_for(rho)
-
-    def factor(rv):
-        kkt = sp.bmat([
-            [ps + _SIGMA * sp.eye(n), as_.T],
-            [as_, -sp.diags(1.0 / rv)],
-        ], format="csc")
-        return spla.splu(kkt)
-
-    lu = factor(rho_vec)
-    x = np.zeros(n)
-    z = np.clip(np.zeros(m), ls, us)
-    y = np.zeros(m)
-    x_chk = x.copy()
-    y_chk = y.copy()
-    it = 0
-
-    def iterate(stage_tol, it0):
-        """Advance ADMM until stage_tol is met; returns (it, hit_tol)."""
-        nonlocal x, z, y, rho, rho_vec, lu, x_chk, y_chk
-        for it in range(it0 + 1, max_iter + 1):
-            rhs = np.concatenate([_SIGMA * x - qs, z - y / rho_vec])
-            sol = lu.solve(rhs)
-            x_t = sol[:n]
-            nu = sol[n:]
-            z_t = z + (nu - y) / rho_vec
-            x = _ALPHA_RELAX * x_t + (1 - _ALPHA_RELAX) * x
-            z_relax = _ALPHA_RELAX * z_t + (1 - _ALPHA_RELAX) * z
-            z_new = np.clip(z_relax + y / rho_vec, ls, us)
-            y = y + rho_vec * (z_relax - z_new)
-            z = z_new
-
-            if it % check_every != 0 and it != max_iter:
-                continue
-
-            # unscaled iterates and residuals
-            ax_u = (as_ @ x) / e
-            z_u = z / e
-            px_u = (ps @ x) / d / c_cost
-            aty_u = (as_.T @ y) / d / c_cost
-            q_u = qs / d / c_cost
-            r_prim = np.max(np.abs(ax_u - z_u)) if m else 0.0
-            r_dual = np.max(np.abs(px_u + q_u + aty_u))
-            eps_prim = stage_tol * (1.0 + max(
-                np.max(np.abs(ax_u)) if m else 0.0,
-                np.max(np.abs(z_u)) if m else 0.0))
-            eps_dual = stage_tol * (1.0 + max(np.max(np.abs(px_u)),
-                                              np.max(np.abs(aty_u)),
-                                              np.max(np.abs(q_u))))
-            if r_prim <= eps_prim and r_dual <= eps_dual:
-                return it, True
-
-            # infeasibility certificates (deltas over the check window)
-            dy = e * (y - y_chk) / c_cost
-            ndy = np.max(np.abs(dy)) if m else 0.0
-            if ndy > 1e-12:
-                at_dy = a_mat.T @ dy
-                bad_u = np.any((~np.isfinite(u)) & (dy > _EPS_CERT * ndy))
-                bad_l = np.any((~np.isfinite(l)) & (dy < -_EPS_CERT * ndy))
-                if (np.max(np.abs(at_dy)) <= _EPS_CERT * ndy
-                        and not bad_u and not bad_l):
-                    support = (_finite_dot(u, np.clip(dy, 0, None))
-                               + _finite_dot(l, np.clip(dy, None, 0)))
-                    if support <= -_EPS_CERT * ndy:
-                        raise InfeasibleError(
-                            "primal infeasibility certificate found")
-            dx = d * (x - x_chk)
-            ndx = np.max(np.abs(dx))
-            if ndx > 1e-12:
-                pdx = p_mat @ dx
-                adx = a_mat @ dx
-                ok_rows = np.all(
-                    (adx <= _EPS_CERT * ndx) | ~np.isfinite(u)) and np.all(
-                    (adx >= -_EPS_CERT * ndx) | ~np.isfinite(l))
-                if (np.max(np.abs(pdx)) <= _EPS_CERT * ndx
-                        and q_vec @ dx <= -_EPS_CERT * ndx
-                        and ok_rows):
-                    raise UnboundedError(
-                        "dual infeasibility certificate found (unbounded)")
-            x_chk = x.copy()
-            y_chk = y.copy()
-
-            # adaptive step size
-            denom_p = max(np.max(np.abs(ax_u)) if m else 0.0,
-                          np.max(np.abs(z_u)) if m else 0.0, 1e-12)
-            denom_d = max(np.max(np.abs(px_u)), np.max(np.abs(aty_u)),
-                          np.max(np.abs(q_u)), 1e-12)
-            ratio = np.sqrt((r_prim / denom_p)
-                            / max(r_dual / denom_d, 1e-16))
-            if ratio > 5.0 or ratio < 0.2:
-                rho = float(np.clip(rho * ratio, _RHO_MIN, _RHO_MAX))
-                rho_vec = rho_vec_for(rho)
-                lu = factor(rho_vec)
-        return max_iter, False
-
-    def finish(strict_tol, stage_tol):
-        """Polish the current iterate; measure it against the system it
-        actually satisfies (the polish target when polish is accepted,
-        the regularized model otherwise)."""
-        x_out = d * x
-        y_out = e * y / c_cost
-        polished = False
-        x_pol, y_pol, ok = _polish(p_report, q_vec, a_mat, l, u,
-                                   x_out, y_out,
-                                   eps_act=10.0 * stage_tol)
-        if ok and np.all(np.isfinite(x_pol)):
-            rp_new, rd_new = _residuals(p_report, q_vec, a_mat, x_pol,
-                                        y_pol,
-                                        np.clip(a_mat @ x_pol, l, u))
-            rp_old, rd_old = _residuals(p_report, q_vec, a_mat, x_out,
-                                        y_out,
-                                        np.clip(a_mat @ x_out, l, u))
-            if max(rp_new, rd_new) <= max(rp_old, rd_old):
-                x_out, y_out = x_pol, y_pol
-                polished = True
-        ref = p_report if polished else p_mat
-        z_out = np.clip(a_mat @ x_out, l, u)
-        rp, rd = _residuals(ref, q_vec, a_mat, x_out, y_out, z_out)
-        eps_p = strict_tol * (1.0 + np.max(np.abs(z_out), initial=0.0))
-        eps_d = strict_tol * (1.0 + max(
-            np.max(np.abs(ref @ x_out), initial=0.0),
-            np.max(np.abs(a_mat.T @ y_out), initial=0.0),
-            np.max(np.abs(q_vec), initial=0.0)))
-        ok_strict = bool(rp <= eps_p and rd <= eps_d)
-        return x_out, y_out, rp, rd, polished, ok_strict
-
-    # Coarse stage first: a moderately accurate iterate plus active-set
-    # polish usually lands at machine precision much sooner than pure
-    # iteration would; fall back to the strict stage when it does not.
-    stage_tols = [tol] if tol >= _COARSE_TOL else [_COARSE_TOL, tol]
-    final = None
-    for stage_tol in stage_tols:
-        it, _ = iterate(stage_tol, it)
-        final = finish(tol, stage_tol)
-        if final[5] or it >= max_iter:
-            break
-
-    x_out, y_out, rp, rd, polished, ok_strict = final
-    report = SolverReport(status="solved" if ok_strict else "max_iter")
-    report.primal_residual = rp
-    report.dual_residual = rd
-    report.iterations = it
-    report.objective = float(0.5 * x_out @ (p_report @ x_out)
-                             + q_vec @ x_out)
-    ref = p_report if polished else p_mat
-    report.duality_gap = _duality_gap(ref, q_vec, x_out, y_out, l, u)
-    report.converged = ok_strict
-    report.notes["polished"] = polished
-    report.notes["residual_reference"] = ("target" if polished
-                                          else "regularized")
-    report.wall_time = time.perf_counter() - t0
-    return x_out, y_out, report
-
-
-def _identity_rows(n, which=None):
-    if which is None:
-        which = np.arange(n)
-    else:
-        which = np.flatnonzero(which)
-    data = np.ones(which.size)
-    return sp.csc_matrix((data, (np.arange(which.size), which)),
-                         shape=(which.size, n))
-
-
 def solve_lp(prog: LinearProgram, tol: float = 1e-6,
              max_iter: int = 50000):
     """Solve a linear program; returns (x, SolverReport).
 
     The engine is the HiGHS simplex/interior-point code behind
-    scipy.optimize.linprog (the splitting solver in this module is kept
-    for quadratic costs, where no comparable library routine exists).
-    Optimality is certified through the duality gap recomputed here from
-    the returned primal and dual values.  Infeasible and unbounded
-    problems raise; any other non-optimal status returns the best
-    available point with converged=False.
+    scipy.optimize.linprog.  Optimality is certified through the duality
+    gap recomputed here from the returned primal and dual values.
+    Infeasible and unbounded problems raise; any other non-optimal status
+    returns the best available point with converged=False.
     """
     from scipy.optimize import linprog
 
     n = prog.c.size
-    has_rows = (prog.a_ub is not None or prog.a_eq is not None
+    has_rows = (prog.a_ub is not None
                 or (prog.lb is not None and np.any(np.isfinite(prog.lb))))
     if not has_rows:
         raise ValueError("LP needs at least one constraint row")
     lb = prog.lb if prog.lb is not None else np.full(n, -np.inf)
     bounds = [(li if np.isfinite(li) else None, None) for li in lb]
     t0 = time.perf_counter()
-    res = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub,
-                  A_eq=prog.a_eq, b_eq=prog.b_eq, bounds=bounds,
+    res = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, bounds=bounds,
                   method="highs",
                   options={"presolve": True, "maxiter": max_iter,
                            "primal_feasibility_tolerance": min(tol, 1e-7),
@@ -519,10 +161,6 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     if prog.a_ub is not None:
         rp = max(rp, float(np.max(prog.a_ub @ x - prog.b_ub, initial=0.0)))
         dual_obj += float(res.ineqlin.marginals @ prog.b_ub)
-    if prog.a_eq is not None:
-        rp = max(rp, float(np.max(np.abs(prog.a_eq @ x - prog.b_eq),
-                                  initial=0.0)))
-        dual_obj += float(res.eqlin.marginals @ prog.b_eq)
     lb_fin = np.isfinite(lb)
     if np.any(lb_fin):
         rp = max(rp, float(np.max(lb[lb_fin] - x[lb_fin], initial=0.0)))
@@ -585,119 +223,192 @@ def psd_check_and_regularize(h, beta_reg: float):
     return h_reg, is_pd, min_eig
 
 
-def _qp_rows(prog: QuadraticProgram, n: int):
-    blocks = []
-    lows = []
-    highs = []
-    if prog.a_eq is not None:
-        blocks.append(sp.csc_matrix(prog.a_eq))
-        b_eq = np.asarray(prog.b_eq, dtype=float)
-        lows.append(b_eq)
-        highs.append(b_eq)
-    if prog.nonneg is not None and np.any(prog.nonneg):
-        kk = _identity_rows(n, prog.nonneg)
-        blocks.append(kk)
-        lows.append(np.zeros(kk.shape[0]))
-        highs.append(np.full(kk.shape[0], np.inf))
-    return blocks, lows, highs
-
-
 def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
              max_iter: int = 50000):
-    """Solve min 0.5x'Hx - f'x with equality rows and nonnegativity flags.
+    """Solve min 0.5x'Hx - f'x subject to x[nonneg] >= 0; (x, SolverReport).
 
-    The ridge-regularized H drives the splitting iterations; the final
-    active-set refinement solves against the original H, so the answer is
-    not biased by beta_reg.  Raises NotConvexError when even the
-    regularized matrix fails the positive-definiteness check.
+    Dense and exact: with R'R = H + beta_reg*I factored once, each step
+    x_{k+1} = argmin 0.5x'Hx - f'x + beta_reg/2 |x - x_k|^2 is the bounded
+    least-squares problem min |R x - R^-T (f + beta_reg x_k)|, solved by
+    nnls when every variable is nonnegative, by BVLS when only some are,
+    and by a triangular solve when none is.  The iteration stops when the
+    projected-gradient (KKT) residual of the unridged H is at most
+    tol * (1 + max(|Hx|, |f|)); the report carries that residual, the
+    bound violation and the complementarity gap x[nonneg]'(Hx - f)[nonneg].
+    Raises NotConvexError when even the ridged matrix fails the
+    positive-definiteness check.
     """
-    h_reg, is_pd, min_eig = psd_check_and_regularize(prog.h, prog.beta_reg)
+    _, is_pd, min_eig = psd_check_and_regularize(prog.h, prog.beta_reg)
     if not is_pd:
         raise NotConvexError(
             f"quadratic cost not positive definite (min eig ~ {min_eig:g}) "
             f"even with beta_reg={prog.beta_reg:g}")
+    t0 = time.perf_counter()
+    h = prog.h.toarray() if sp.issparse(prog.h) else np.asarray(prog.h)
     n = prog.f.size
-    q_vec = -prog.f
-    h_orig = sp.csc_matrix(prog.h)
-    blocks, lows, highs = _qp_rows(prog, n)
-    if not blocks:
-        # unconstrained: single positive-definite solve
-        t0 = time.perf_counter()
-        x = spla.spsolve(sp.csc_matrix(h_reg), prog.f)
-        x = np.atleast_1d(x)
-        # one refinement step against the original H
-        resid = prog.f - h_orig @ x
-        x = x + np.atleast_1d(spla.spsolve(sp.csc_matrix(h_reg), resid))
-        rd = float(np.max(np.abs(h_orig @ x - prog.f)))
-        report = SolverReport(
-            objective=float(0.5 * x @ (h_orig @ x) - prog.f @ x),
-            iterations=1, primal_residual=0.0, dual_residual=rd,
-            duality_gap=0.0, converged=rd <= tol * (1 + np.max(
-                np.abs(prog.f), initial=0.0)),
-            wall_time=time.perf_counter() - t0, status="solved")
-        report.notes["min_eig"] = min_eig
-        return x, report
-    a_mat = sp.vstack(blocks, format="csc")
-    l = np.concatenate(lows)
-    u = np.concatenate(highs)
-    x, _, report = _solve_box_qp(sp.csc_matrix(h_reg), q_vec, a_mat, l, u,
-                                 tol=tol, max_iter=max_iter,
-                                 polish_h=h_orig)
+    nonneg = (prog.nonneg if prog.nonneg is not None
+              else np.zeros(n, dtype=bool))
+    r = cholesky(h + prog.beta_reg * np.eye(n))
+    if nonneg.all():
+        def step(b):
+            return nnls(r, b)[0]
+    elif nonneg.any():
+        from scipy.optimize import lsq_linear
+        bounds = (np.where(nonneg, 0.0, -np.inf), np.inf)
+
+        def step(b):
+            return lsq_linear(r, b, bounds=bounds, method="bvls").x
+    else:
+        def step(b):
+            return solve_triangular(r, b)
+
+    x = np.zeros(n)
+    report = SolverReport(status="max_iter")
+    for report.iterations in range(1, max_iter + 1):
+        x = step(solve_triangular(r, prog.f + prog.beta_reg * x,
+                                  trans="T"))
+        hx = h @ x
+        grad = hx - prog.f
+        proj = np.where(nonneg, np.clip(x - grad, 0.0, None), x - grad)
+        report.dual_residual = float(np.max(np.abs(x - proj), initial=0.0))
+        if report.dual_residual <= tol * (1.0 + max(
+                np.max(np.abs(hx), initial=0.0),
+                np.max(np.abs(prog.f), initial=0.0))):
+            report.status, report.converged = "solved", True
+            break
+    report.objective = float(0.5 * x @ hx - prog.f @ x)
+    report.primal_residual = float(np.max(-x[nonneg], initial=0.0))
+    report.duality_gap = float(x[nonneg] @ grad[nonneg])
     report.notes["min_eig"] = min_eig
-    report.notes["rank_deficient"] = bool(min_eig <= 2.0 * prog.beta_reg)
+    report.wall_time = time.perf_counter() - t0
     return x, report
+
+
+def _tv_prox(y: list, lam: float) -> list:
+    """argmin_x 0.5|x - y|^2 + lam * sum |x[i+1] - x[i]|, exactly.
+
+    Condat's direct algorithm (IEEE Signal Process. Lett. 20(11), 2013):
+    one forward sweep that keeps the admissible range [vmin, vmax] of the
+    current segment's level and the running dual values umin/umax, and
+    emits a segment as soon as a jump becomes necessary.  Plain Python
+    floats, because the sweep is scalar and sequential.
+    """
+    n = len(y)
+    x = [0.0] * n
+    k = k0 = kplus = kminus = 0
+    umin, umax = lam, -lam
+    vmin, vmax = y[0] - lam, y[0] + lam
+    while True:
+        while k == n - 1:
+            # right boundary: settle the open segment
+            if umin < 0.0:
+                for i in range(k0, kminus + 1):
+                    x[i] = vmin
+                k0 = k = kminus = kminus + 1
+                vmin = y[k]
+                umin = lam
+                umax = vmin + lam - vmax
+            elif umax > 0.0:
+                for i in range(k0, kplus + 1):
+                    x[i] = vmax
+                k0 = k = kplus = kplus + 1
+                vmax = y[k]
+                umax = -lam
+                umin = vmax - lam - vmin
+            else:
+                vmin += umin / (k - k0 + 1)
+                for i in range(k0, n):
+                    x[i] = vmin
+                return x
+        umin += y[k + 1] - vmin
+        if umin < -lam:
+            # negative jump after the last point where umin hit +lam
+            for i in range(k0, kminus + 1):
+                x[i] = vmin
+            k0 = k = kplus = kminus = kminus + 1
+            vmin = y[k]
+            vmax = vmin + 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        umax += y[k + 1] - vmax
+        if umax > lam:
+            # positive jump after the last point where umax hit -lam
+            for i in range(k0, kplus + 1):
+                x[i] = vmax
+            k0 = k = kplus = kminus = kplus + 1
+            vmax = y[k]
+            vmin = vmax - 2.0 * lam
+            umin, umax = lam, -lam
+            continue
+        k += 1
+        if umin >= lam:
+            kminus = k
+            vmin += (umin - lam) / (k - k0 + 1)
+            umin = lam
+        if umax <= -lam:
+            kplus = k
+            vmax += (umax + lam) / (k - k0 + 1)
+            umax = -lam
 
 
 def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float,
                       tol: float = 1e-6, max_iter: int = 50000):
-    """Solve min 0.5x'Hx - f'x + lam*||D x||_1 (plus prog's constraints).
+    """Solve min 0.5x'Hx - f'x + lam*||D x||_1 (x >= 0 when nonneg is set).
 
-    Epigraph reformulation: auxiliary t with D x - t <= 0 and -D x - t <= 0.
-    lam = 0 falls back to solve_qp exactly.
+    H must be a positive multiple h*I of the identity and D must consist of
+    first-difference rows (-1, +1 on adjacent columns, each pair at most
+    once); anything else raises ValueError.  The minimizer is then the
+    total-variation prox of f/h with weight lam/h on every chain of
+    linked variables, computed exactly by Condat's algorithm and clipped
+    at zero, which is the prox of the penalty plus nonnegativity (Yu,
+    NeurIPS 2013).  nonneg must flag all variables or none.  lam = 0
+    returns solve_qp's answer.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
+    n = prog.f.size
+    h = sp.csr_matrix(prog.h)
+    scale = float(h[0, 0])
+    if not scale > 0 or (h - scale * sp.identity(n)).count_nonzero():
+        raise ValueError("H must be a positive multiple of the identity")
+    d = sp.csr_matrix(d_op, copy=True)
+    if d.shape[1] != n:
+        raise ValueError("differencing operator has wrong width")
+    d.eliminate_zeros()
+    d.sort_indices()
+    if np.any(np.diff(d.indptr) != 2):
+        raise ValueError("D must consist of first-difference rows")
+    cols = d.indices.reshape(-1, 2)
+    vals = d.data.reshape(-1, 2)
+    if (np.any(cols[:, 1] - cols[:, 0] != 1) or np.any(np.abs(vals) != 1.0)
+            or np.any(vals.sum(axis=1) != 0.0)):
+        raise ValueError("D must consist of first-difference rows")
+    links = np.sort(cols[:, 0])
+    if np.any(np.diff(links) == 0):
+        raise ValueError("D repeats a first-difference row")
+    nonneg = prog.nonneg
+    if nonneg is not None and nonneg.any() and not nonneg.all():
+        raise ValueError("nonneg must flag all variables or none")
     if lam == 0:
         return solve_qp(prog, tol=tol, max_iter=max_iter)
-    n = prog.f.size
-    d_op = sp.csc_matrix(d_op)
-    r = d_op.shape[0]
-    if d_op.shape[1] != n:
-        raise ValueError("differencing operator has wrong width")
 
-    h_reg, is_pd, min_eig = psd_check_and_regularize(prog.h, prog.beta_reg)
-    if not is_pd:
-        raise NotConvexError(
-            f"quadratic cost not positive definite (min eig ~ {min_eig:g})")
-    h_ext_reg = sp.block_diag(
-        [sp.csc_matrix(h_reg), prog.beta_reg * sp.eye(r)], format="csc")
-    h_ext_orig = sp.block_diag(
-        [sp.csc_matrix(prog.h), sp.csc_matrix((r, r))], format="csc")
-    q_ext = np.concatenate([-prog.f, lam * np.ones(r)])
-
-    blocks, lows, highs = _qp_rows(prog, n)
-    blocks = [sp.hstack([b, sp.csc_matrix((b.shape[0], r))], format="csc")
-              for b in blocks]
-    eye_r = sp.eye(r, format="csc")
-    blocks.append(sp.hstack([d_op, -eye_r], format="csc"))
-    lows.append(np.full(r, -np.inf))
-    highs.append(np.zeros(r))
-    blocks.append(sp.hstack([-d_op, -eye_r], format="csc"))
-    lows.append(np.full(r, -np.inf))
-    highs.append(np.zeros(r))
-
-    a_mat = sp.vstack(blocks, format="csc")
-    l = np.concatenate(lows)
-    u = np.concatenate(highs)
-    x_ext, _, report = _solve_box_qp(h_ext_reg, q_ext, a_mat, l, u, tol=tol,
-                                     max_iter=max_iter, polish_h=h_ext_orig)
-    x = x_ext[:n]
-    tv = float(np.sum(np.abs(d_op @ x)))
-    h_orig = sp.csc_matrix(prog.h)
-    report.objective = float(0.5 * x @ (h_orig @ x) - prog.f @ x + lam * tv)
-    report.notes["min_eig"] = min_eig
-    report.notes["total_variation"] = tv
-    report.notes["rank_deficient"] = bool(min_eig <= 2.0 * prog.beta_reg)
+    t0 = time.perf_counter()
+    x = prog.f / scale
+    # each chain of consecutive links i -> i+1 is one 1-D prox problem
+    linked = np.zeros(n, dtype=np.int8)
+    linked[links] = 1
+    edge = np.diff(linked, prepend=0, append=0)
+    for a, b in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
+        x[a:b + 1] = _tv_prox(x[a:b + 1].tolist(), lam / scale)
+    if nonneg is not None and nonneg.all():
+        x = np.clip(x, 0.0, None)
+    tv = float(np.sum(np.abs(d @ x)))
+    report = SolverReport(
+        objective=float(0.5 * scale * x @ x - prog.f @ x + lam * tv),
+        iterations=1, primal_residual=0.0, dual_residual=0.0,
+        duality_gap=0.0, converged=True, status="solved",
+        wall_time=time.perf_counter() - t0,
+        notes={"total_variation": tv})
     return x, report
 
 

@@ -2,15 +2,20 @@
 blind spots, masking policy, and the reconstruction identity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear, nnls
 
 from pvdisagg.errors import (AlignmentError, BankMismatchError,
                              DegenerateWeightsError)
+from pvdisagg.evaluation import ScenarioSpec, generate_scenario
 from pvdisagg.methods import (CapacityVector, MethodParams, disaggregate,
                               fit, fit_method_a, fit_method_b, fit_method_c,
                               fit_method_d, predict_generation)
 from pvdisagg.optim import QuadraticProgram, solve_l1_trend_qp
 from pvdisagg.solar import PlaneBank, PlaneConfig
-from pvdisagg.timeseries import UNIT_KW, TimeSeries
+from pvdisagg.timeseries import (UNIT_KW, TimeSeries, make_folds,
+                                 resample_average)
 
 import scipy.sparse as sp
 
@@ -330,6 +335,133 @@ def test_method_d_spike_robustness():
     assert e_clean < 0.05
     assert e_spike <= 2.0 * e_clean
     assert e_spike <= 0.8 * e_ls
+
+
+# --------------------------------------------- B and C against oracles
+
+def _tv_prox_oracle(y, mu):
+    """argmin_x 0.5|x - y|^2 + mu*sum|dx| through its box-constrained
+    dual  min_z |y - mu D'z|^2, |z| <= 1, solved by BVLS."""
+    d = np.diff(np.eye(y.size), axis=0)
+    z = lsq_linear(mu * d.T, y, bounds=(-1.0, 1.0), method="bvls",
+                   tol=1e-14).x
+    return y - mu * d.T @ z
+
+
+def _b_envelope(p_vals, bank, alpha, lam, seg):
+    """B's objective minimized over L for fixed alpha, and its certificate.
+
+    The best L is the TV prox of y = P + G clipped at zero on each
+    segment (Yu, NeurIPS 2013).  Returns (F, projected gradient relative
+    to the size of the terms the gradient sums); F is half the stated
+    objective, as in the fit's report.
+    """
+    c_mat = bank.irradiance.T / 1000.0
+    y = p_vals + c_mat @ alpha
+    mu = lam / 2.0
+    segs = [slice(a, a + seg) for a in range(0, y.size, seg)]
+    l_vals = np.concatenate([np.clip(_tv_prox_oracle(y[s], mu), 0, None)
+                             for s in segs])
+    r = y - l_vals
+    tv = sum(np.abs(np.diff(l_vals[s])).sum() for s in segs)
+    grad = c_mat.T @ r
+    cert = (np.max(np.abs(alpha - np.clip(alpha - grad, 0, None)))
+            / (1.0 + np.max(np.abs(c_mat).T @ np.abs(r))))
+    return 0.5 * r @ r + mu * tv, cert
+
+
+def _c_oracle(p_vals, bank, c, seg):
+    """C as one full NNLS over block levels and capacities, on [E, -C]."""
+    k = p_vals.size
+    starts = np.concatenate([np.arange(a, min(a + seg, k), c)
+                             for a in range(0, k, seg)])
+    blocks = np.repeat(np.arange(starts.size), np.diff(np.append(starts, k)))
+    e = np.zeros((k, starts.size))
+    e[np.arange(k), blocks] = 1.0
+    sol, _ = nnls(np.hstack([e, -bank.irradiance.T / 1000.0]), p_vals)
+    return sol[starts.size:]
+
+
+def _random_bank(rng, j, k, period):
+    irr = rng.uniform(0.0, 900.0, (j, k)) * (rng.random((j, k)) < 0.8)
+    planes = tuple(PlaneConfig(10.0 + 5 * i, 120.0) for i in range(j))
+    return PlaneBank(planes, irr, START, period)
+
+
+def test_method_c_matches_full_nnls_on_a_sweep_fold():
+    """A cross-validation fold whose capacities an inexact solver put at
+    33.4 kWp; the optimum, at 42.0 kWp, must come back to NNLS precision."""
+    data = generate_scenario(ScenarioSpec(days=3, period_s=10, noise_kw=0.1,
+                                          seed=0))
+    p_r = resample_average(data.p, 30)
+    train_days, _ = make_folds(3, 0).train_test(2)
+    idx = np.concatenate([np.arange(d * 2880, (d + 1) * 2880)
+                          for d in train_days])
+    p_tr = TimeSeries(p_r.start_epoch, 30, p_r.values[idx], UNIT_KW)
+    bank_tr = data.bank.resampled(30).sliced(idx, start_epoch=p_r.start_epoch)
+    cap, _ = fit_method_c(p_tr, bank_tr, 10, segment_length=2880)
+    ref = _c_oracle(p_tr.values, bank_tr, 10, 2880)
+    assert cap.report.converged
+    assert abs(ref.sum() - 42.0) < 0.05
+    assert np.max(np.abs(cap.alpha - ref)) <= 1e-8
+
+
+def test_method_b_certified_where_demand_clips_at_zero():
+    bank = textured_bank(288, 300)
+    rng = np.random.default_rng(17)
+    rng.choice([4, 12, 24])  # advances the stream to this instance
+    alpha_true = rng.uniform(0, 3, 4) * (rng.random(4) < 0.7)
+    l_true = (np.clip(rng.uniform(-2, 4, 24).repeat(12), 0, None)
+              + 0.2 * rng.standard_normal(288))
+    p_vals = l_true - alpha_true @ bank.irradiance / 1000.0
+    cap, l_hat = fit_method_b(ts(p_vals, 300), bank, lam=2.0,
+                              segment_length=144)
+    assert np.any(l_hat.values == 0.0)
+    obj, cert = _b_envelope(p_vals, bank, cap.alpha, 2.0, 144)
+    assert cap.report.converged
+    assert cert <= 1e-6
+    assert abs(obj - cap.report.objective) <= 1e-9 * obj
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 8),
+       j=st.integers(1, 4))
+def test_method_c_equals_full_nnls(seed, c, j):
+    """Random small feeders, many with negative block means (demand
+    clipped at zero): the capacities are the full NNLS optimum."""
+    rng = np.random.default_rng(seed)
+    k = 48
+    bank = _random_bank(rng, j, k, 300)
+    levels = np.repeat(rng.uniform(-3.0, 4.0, -(-k // c)), c)[:k]
+    p_vals = (levels + 0.3 * rng.standard_normal(k)
+              - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
+    cap, _ = fit_method_c(ts(p_vals, 300), bank, c)
+    ref = _c_oracle(p_vals, bank, c, k)
+    assert cap.report.converged
+    assert np.max(np.abs(cap.alpha - ref)) <= 1e-7 * (1.0 + np.max(ref))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.5, 2.0, 8.0]),
+       j=st.integers(1, 4))
+def test_method_b_certified_and_unbeaten(seed, lam, j):
+    """Random small feeders with demand dipping below zero: B's
+    capacities pass the oracle's certificate, and no random feasible
+    perturbation lowers the oracle's objective."""
+    rng = np.random.default_rng(seed)
+    k, seg = 60, 30
+    bank = _random_bank(rng, j, k, 300)
+    p_vals = (np.repeat(rng.uniform(-2.0, 4.0, 6), 10)
+              + 0.2 * rng.standard_normal(k)
+              - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
+    cap, _ = fit_method_b(ts(p_vals, 300), bank, lam, segment_length=seg)
+    obj, cert = _b_envelope(p_vals, bank, cap.alpha, lam, seg)
+    assert cap.report.converged
+    assert cert <= 1e-6
+    for _ in range(10):
+        trial = np.clip(cap.alpha + rng.normal(0.0, 0.05, j), 0.0, None)
+        assert _b_envelope(p_vals, bank, trial, lam, seg)[0] \
+            >= obj - 1e-9 * (1.0 + obj)
 
 
 # ------------------------------------------------------------ dispatcher

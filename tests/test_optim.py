@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import nnls
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import lsq_linear, nnls
 
 from pvdisagg.errors import (DegenerateWeightsError, InfeasibleError,
                              NotConvexError, UnboundedError)
@@ -132,25 +134,6 @@ def test_qp_active_bound_solution():
     x, rep = solve_qp(_qp_1d(-3.0))
     assert abs(x[0]) <= 1e-8
     assert rep.converged
-
-
-def test_qp_equality_constrained_matches_kkt_oracle():
-    """Random strictly convex 20-var QPs against a dense KKT elimination."""
-    rng = np.random.default_rng(3)
-    for trial in range(5):
-        n, m = 20, 4
-        root = rng.normal(size=(n, n))
-        h = root @ root.T + n * np.eye(n)
-        f = rng.normal(size=n)
-        a = rng.normal(size=(m, n))
-        b = rng.normal(size=m)
-        prog = QuadraticProgram(h=sp.csc_matrix(h), f=f,
-                                a_eq=sp.csc_matrix(a), b_eq=b)
-        x, rep = solve_qp(prog, tol=1e-8)
-        kkt = np.block([[h, a.T], [a, np.zeros((m, m))]])
-        sol = np.linalg.solve(kkt, np.concatenate([f, b]))
-        assert np.max(np.abs(x - sol[:n])) <= 1e-6
-        assert rep.converged
 
 
 def test_qp_solution_beats_random_feasible_perturbations():
@@ -287,6 +270,42 @@ def test_trend_tv_monotone_in_lambda():
         tv.append(np.sum(np.abs(np.diff(x))))
     for a, b in zip(tv, tv[1:]):
         assert b <= a + 1e-6
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       lam=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
+       h=st.sampled_from([0.5, 1.0, 3.0]))
+def test_trend_matches_dual_oracle(seed, n, lam, h):
+    """min 0.5h|x|^2 - f'x + lam|Dx|_1 against its box-constrained dual,
+    min |f/h - (lam/h) D'z|, |z| <= 1, solved by BVLS.  Rounded data
+    makes ties between neighbors common."""
+    f = np.round(np.random.default_rng(seed).normal(0.0, 3.0, n), 1)
+    x, rep = solve_l1_trend_qp(QuadraticProgram(h=h * sp.eye(n), f=f),
+                               _diff_op(n), lam=lam)
+    d = _diff_op(n).toarray()
+    z = lsq_linear(lam / h * d.T, f / h, bounds=(-1.0, 1.0),
+                   method="bvls", tol=1e-14).x
+    assert rep.converged
+    assert np.max(np.abs(x - (f / h - lam / h * d.T @ z))) <= 1e-9
+
+
+@pytest.mark.parametrize("h, d_op, nonneg", [
+    (sp.diags(np.arange(1.0, 7.0)), _diff_op(6), None),
+    (sp.eye(6) + sp.eye(6, k=1) + sp.eye(6, k=-1), _diff_op(6), None),
+    (-sp.eye(6), _diff_op(6), None),
+    (sp.eye(6), sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(4, 6)), None),
+    (sp.eye(6), 2.0 * _diff_op(6), None),
+    (sp.eye(6), sp.diags([-1.0, 1.0], [0, 2], shape=(4, 6)), None),
+    (sp.eye(6), sp.vstack([_diff_op(6), _diff_op(6).tocsr()[:1]]), None),
+    (sp.eye(6), _diff_op(6), np.arange(6) < 3),
+])
+def test_trend_rejects_what_the_prox_cannot_solve(h, d_op, nonneg):
+    """Only a positive multiple of I, single first-difference rows and an
+    all-or-nothing sign constraint reduce to the 1-D TV prox."""
+    prog = QuadraticProgram(h=h, f=np.arange(6.0), nonneg=nonneg)
+    with pytest.raises(ValueError):
+        solve_l1_trend_qp(prog, d_op, lam=1.0)
 
 
 def test_trend_negative_lambda_rejected():
