@@ -25,8 +25,8 @@ from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, compute_metrics,
 from .methods import CapacityVector, MethodParams, disaggregate, fit
 from .solar import build_bank, site_from_config
 from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
-                         UNIT_W_PER_M2, TimeSeries, ingest_csv,
-                         resample_average, write_csv, _iso)
+                         UNIT_W_PER_M2, TimeSeries, ingest_csv, mask_night,
+                         resample_average, write_csv, write_table)
 
 _PARAM_KEYS = {  # YAML key -> MethodParams field
     "lam": "lam", "c": "c", "f_low_hz": "f_low", "f_high_hz": "f_high",
@@ -65,17 +65,6 @@ def _write_json(path, payload):
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-def _write_table(path, timestamps, columns, header, comments):
-    """Multi-column CSV with ISO timestamps; LF line endings."""
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for i, ts in enumerate(timestamps):
-            vals = ",".join(repr(float(col[i])) for col in columns)
-            fh.write(f"{_iso(int(ts))},{vals}\n")
 
 
 def _auto_segment(series: TimeSeries):
@@ -123,8 +112,8 @@ def cmd_transpose(args) -> int:
     comments = [_prov_comment(cfg),
                 f"bank geometry {bank.geometry_hash}: " + "; ".join(
                     f"tilt={p.tilt:g} az={p.azimuth:g}" for p in planes)]
-    _write_table(args.out, ghi.timestamps(), list(bank.irradiance),
-                 header, comments)
+    write_table(args.out, ghi.timestamps(), bank.irradiance, header,
+                comments)
     print(f"wrote {bank.n_planes}-plane bank "
           f"({bank.n_samples} samples) to {args.out}")
     return 0
@@ -167,7 +156,6 @@ def cmd_fit(args) -> int:
 
     params = _method_params_from_args(args, period)
     params.validate()
-    from .timeseries import mask_night
     night = None if args.no_night_mask else mask_night(
         ghi, params.night_threshold)
     cap, l_hat, seconds = fit(p, bank, params, night_mask=night,
@@ -217,9 +205,9 @@ def cmd_disaggregate(args) -> int:
     comments = [_prov_comment(model_doc.get("provenance", {})),
                 f"clip_count={result.report.notes['clip_count']}",
                 f"identity_violations={violations}"]
-    _write_table(args.out, p.timestamps(),
-                 [result.g_hat.values, result.l_hat.values],
-                 "timestamp,g_hat_kw,l_hat_kw", comments)
+    write_table(args.out, p.timestamps(),
+                [result.g_hat.values, result.l_hat.values],
+                "timestamp,g_hat_kw,l_hat_kw", comments)
     print(f"wrote estimates ({len(p)} samples, "
           f"{result.report.notes['clip_count']} demand samples clipped) "
           f"to {args.out}")

@@ -37,6 +37,8 @@ from .timeseries import UNIT_KW, TimeSeries
 
 KW_PER_WM2 = 1e-3  # irradiance templates are W/m^2, capacities kWp
 
+_LP_GAP_TOL = 1e-6         # relative duality-gap certificate of A's dual LP
+
 # projected-Newton envelope fit of B and C
 _ENVELOPE_TOL = 1e-8       # relative projected-gradient certificate
 # Each step's capacity QP has a Hessian that grows with the sample count
@@ -168,13 +170,18 @@ def _clip_alpha(raw: np.ndarray, tol: float = 1e-5) -> np.ndarray:
 
 def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
                  mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None,
-                 tol: float = 1e-6,
-                 max_iter: int = 50000) -> CapacityVector:
+                 segment_length: Optional[int] = None) -> CapacityVector:
     """L1 fit on first differences: min sum_k |dP_k + dG_k(alpha)|.
 
     Difference pairs never straddle a segment boundary, and with a mask
-    only pairs whose both endpoints are kept contribute.
+    only pairs whose both endpoints are kept contribute.  Solved as the
+    dual LP  max dP'u  s.t. |u| <= 1, C'u >= 0  (C the column-scaled
+    differenced bank), whose one row per plane carries the capacities as
+    its multipliers.  The report certifies the answer itself: objective
+    is sum |dP + dG(alpha)| at the returned alpha, duality_gap is that
+    minus dP'u, primal_residual is u's worst constraint violation, and
+    converged needs a HiGHS optimum and a gap of at most
+    _LP_GAP_TOL * (1 + objective).
     """
     _check_bank(p, bank)
     k, j = len(p), bank.n_planes
@@ -196,19 +203,18 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
     scale = _column_scales(dm)
     c_mat = dm / scale
 
-    r = pairs.size
-    # variables [alpha_scaled (j); t (r)], minimize sum t subject to
-    #   |dp + C a| <= t elementwise, a >= 0, t >= 0.
-    cost = np.concatenate([np.zeros(j), np.ones(r)])
-    eye_r = sp.identity(r, format="csc")
-    c_sp = sp.csc_matrix(c_mat)
-    a_ub = sp.vstack([sp.hstack([c_sp, -eye_r]),
-                      sp.hstack([-c_sp, -eye_r])], format="csc")
-    b_ub = np.concatenate([-dp, dp])
-    lb = np.zeros(j + r)
-    x, report = solve_lp(LinearProgram(cost, a_ub, b_ub, lb=lb),
-                         tol=tol, max_iter=max_iter)
-    alpha = _clip_alpha(x[:j] / scale)
+    ones = np.ones(pairs.size)
+    u, report = solve_lp(LinearProgram(-dp, -c_mat.T, np.zeros(j),
+                                       lb=-ones, ub=ones))
+    # the rows read -C'u <= 0, so their multipliers are minus the scaled
+    # capacities
+    alpha = _clip_alpha(-report.notes.pop("row_duals", np.zeros(j)) / scale)
+    report.objective = float(np.sum(np.abs(dp + dm @ alpha)))
+    report.duality_gap = report.objective - float(dp @ u)
+    report.primal_residual = max(float(np.max(np.abs(u))) - 1.0,
+                                 float(np.max(-(u @ c_mat))), 0.0)
+    report.converged = report.converged and (
+        abs(report.duality_gap) <= _LP_GAP_TOL * (1.0 + report.objective))
     return CapacityVector(alpha, bank.geometry_hash, report)
 
 
@@ -312,8 +318,9 @@ def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
         raise ValueError("lam must be >= 0")
     k = len(p)
     if lam == 0:
-        # L is free per sample, as in C with c = 1; the trend solver would
-        # hand this case to a dense k x k solve_qp
+        # L is free per sample, as in C with c = 1.  The trend solver would
+        # give the same L, but its runs merge equal neighbours, which puts
+        # the Newton step on the wrong piece of the envelope.
         demand = _block_demand(np.arange(k), k)
     else:
         seg_starts = np.array([a for a, _ in
@@ -357,9 +364,7 @@ def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
 def fit_method_d(p: TimeSeries, bank: PlaneBank,
                  f_low: float, f_high: float, tuning: float = 4.685, *,
                  mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None,
-                 tol: float = 1e-8,
-                 max_iter: int = 50) -> CapacityVector:
+                 segment_length: Optional[int] = None) -> CapacityVector:
     """Band-pass both sides, then robust-regress P on the filtered bank.
 
     Filtering runs independently on each contiguous segment (so day
@@ -392,8 +397,7 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
             raise ValueError("not enough usable samples for the fit")
         y = y[keep]
         x_mat = x_mat[keep]
-    alpha, report = irls_bisquare(x_mat, y, tuning=tuning, nonneg=True,
-                                  tol=tol, max_iter=max_iter)
+    alpha, report = irls_bisquare(x_mat, y, tuning=tuning, nonneg=True)
     return CapacityVector(_clip_alpha(alpha), bank.geometry_hash, report)
 
 

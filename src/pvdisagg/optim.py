@@ -11,7 +11,8 @@ on the sizes it is given:
   solve_l1_trend_qp  the prox of a total-variation penalty by Condat's
                      direct algorithm, clipped at zero for nonnegative
                      variables;
-  solve_lp           HiGHS through scipy.optimize.linprog;
+  solve_lp           HiGHS through scipy.optimize.linprog, returning the
+                     row duals and a recomputed duality gap;
   irls_bisquare      majorize-minimize robust regression on nnls.
 """
 
@@ -22,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg import eigh as dense_eigh
-from scipy.optimize import nnls
+from scipy.optimize import linprog, lsq_linear, nnls
 
 from .errors import (
     DegenerateWeightsError,
@@ -67,12 +67,16 @@ class SolverReport:
 
 @dataclass
 class LinearProgram:
-    """minimize c'x  s.t.  a_ub x <= b_ub, x >= lb (per-var)."""
+    """minimize c'x  s.t.  a_ub x <= b_ub,  lb <= x <= ub (per variable).
+
+    lb and ub default to no bound, and so do their -inf and +inf entries.
+    """
 
     c: np.ndarray
     a_ub: object = None
     b_ub: np.ndarray = None
-    lb: np.ndarray = None  # -inf entries mean unbounded below
+    lb: np.ndarray = None
+    ub: np.ndarray = None
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -82,10 +86,13 @@ class LinearProgram:
                              f"expected {n}")
         if (self.a_ub is None) != (self.b_ub is None):
             raise ValueError("a_ub and b_ub must come together")
-        if self.lb is not None:
-            self.lb = np.asarray(self.lb, dtype=float)
-            if self.lb.size != n:
-                raise ValueError("lb length mismatch")
+        for name in ("lb", "ub"):
+            bound = getattr(self, name)
+            if bound is not None:
+                bound = np.asarray(bound, dtype=float)
+                if bound.size != n:
+                    raise ValueError(f"{name} length mismatch")
+                setattr(self, name, bound)
 
 
 @dataclass
@@ -121,19 +128,19 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
 
     The engine is the HiGHS simplex/interior-point code behind
     scipy.optimize.linprog.  Optimality is certified through the duality
-    gap recomputed here from the returned primal and dual values.
-    Infeasible and unbounded problems raise; any other non-optimal status
-    returns the best available point with converged=False.
+    gap recomputed here from the returned primal and dual values.  The
+    multipliers of the a_ub rows go to notes["row_duals"] in linprog's
+    sign convention (d objective / d b_ub, so <= 0).  Infeasible and
+    unbounded problems raise; any other non-optimal status returns the
+    best available point with converged=False.
     """
-    from scipy.optimize import linprog
-
     n = prog.c.size
-    has_rows = (prog.a_ub is not None
-                or (prog.lb is not None and np.any(np.isfinite(prog.lb))))
-    if not has_rows:
-        raise ValueError("LP needs at least one constraint row")
     lb = prog.lb if prog.lb is not None else np.full(n, -np.inf)
-    bounds = [(li if np.isfinite(li) else None, None) for li in lb]
+    ub = prog.ub if prog.ub is not None else np.full(n, np.inf)
+    lb_fin, ub_fin = np.isfinite(lb), np.isfinite(ub)
+    if prog.a_ub is None and not (lb_fin.any() or ub_fin.any()):
+        raise ValueError("LP needs at least one constraint row")
+    bounds = np.column_stack([lb, ub])
     t0 = time.perf_counter()
     res = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, bounds=bounds,
                   method="highs",
@@ -156,15 +163,14 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     x = np.asarray(res.x, dtype=float)
     report.objective = float(prog.c @ x)
 
-    rp = 0.0
-    dual_obj = 0.0
+    rp = max(float(np.max(lb[lb_fin] - x[lb_fin], initial=0.0)),
+             float(np.max(x[ub_fin] - ub[ub_fin], initial=0.0)))
+    dual_obj = float(res.lower.marginals[lb_fin] @ lb[lb_fin]
+                     + res.upper.marginals[ub_fin] @ ub[ub_fin])
     if prog.a_ub is not None:
         rp = max(rp, float(np.max(prog.a_ub @ x - prog.b_ub, initial=0.0)))
         dual_obj += float(res.ineqlin.marginals @ prog.b_ub)
-    lb_fin = np.isfinite(lb)
-    if np.any(lb_fin):
-        rp = max(rp, float(np.max(lb[lb_fin] - x[lb_fin], initial=0.0)))
-        dual_obj += float(res.lower.marginals[lb_fin] @ lb[lb_fin])
+        report.notes["row_duals"] = np.asarray(res.ineqlin.marginals)
     report.primal_residual = rp
     report.dual_residual = 0.0  # HiGHS enforces dual feasibility itself
     report.duality_gap = report.objective - dual_obj
@@ -176,40 +182,14 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
 
 
 def psd_check_and_regularize(h, beta_reg: float):
-    """Return (H + beta_reg*I, is_pd, min_eig_estimate).
+    """Return (H + beta_reg*I, is_pd, min_eig) as dense values.
 
-    is_pd reflects whether a factorization of the regularized matrix
-    certifies positive definiteness.  The eigenvalue estimate is exact for
-    dense inputs and an inverse-iteration estimate for sparse ones.
+    is_pd reflects whether a Cholesky factorization of the regularized
+    matrix certifies positive definiteness; min_eig is its exact smallest
+    eigenvalue.  A sparse H is densified first.
     """
     n = h.shape[0]
-    if sp.issparse(h):
-        h_reg = (h + beta_reg * sp.eye(n)).tocsc()
-        sym_gap = abs(h_reg - h_reg.T).max()
-        if sym_gap > 1e-8 * (abs(h_reg).max() + 1.0):
-            raise ValueError("H must be symmetric")
-        try:
-            lu = spla.splu(h_reg, diag_pivot_thresh=0.0,
-                           permc_spec="MMD_AT_PLUS_A",
-                           options={"SymmetricMode": True})
-            is_pd = bool(np.all(lu.U.diagonal() > 0))
-        except RuntimeError:
-            return h_reg, False, float("nan")
-        min_eig = np.nan
-        if is_pd:
-            # inverse power iteration on the factor
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            for _ in range(50):
-                w = lu.solve(v)
-                nw = np.linalg.norm(w)
-                if nw == 0:
-                    break
-                v = w / nw
-            min_eig = float(v @ (h_reg @ v))
-        return h_reg, is_pd, min_eig
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h.toarray() if sp.issparse(h) else h, dtype=float)
     if np.max(np.abs(h - h.T)) > 1e-8 * (np.max(np.abs(h)) + 1.0):
         raise ValueError("H must be symmetric")
     h_reg = h + beta_reg * np.eye(n)
@@ -253,7 +233,6 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
         def step(b):
             return nnls(r, b)[0]
     elif nonneg.any():
-        from scipy.optimize import lsq_linear
         bounds = (np.where(nonneg, 0.0, -np.inf), np.inf)
 
         def step(b):
@@ -351,8 +330,7 @@ def _tv_prox(y: list, lam: float) -> list:
             umax = -lam
 
 
-def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float,
-                      tol: float = 1e-6, max_iter: int = 50000):
+def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float):
     """Solve min 0.5x'Hx - f'x + lam*||D x||_1 (x >= 0 when nonneg is set).
 
     H must be a positive multiple h*I of the identity and D must consist of
@@ -361,8 +339,8 @@ def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float,
     total-variation prox of f/h with weight lam/h on every chain of
     linked variables, computed exactly by Condat's algorithm and clipped
     at zero, which is the prox of the penalty plus nonnegativity (Yu,
-    NeurIPS 2013).  nonneg must flag all variables or none.  lam = 0
-    returns solve_qp's answer.
+    NeurIPS 2013).  nonneg must flag all variables or none.  With lam = 0
+    the prox leaves its input unchanged, so the answer is f/h, clipped.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -389,8 +367,6 @@ def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float,
     nonneg = prog.nonneg
     if nonneg is not None and nonneg.any() and not nonneg.all():
         raise ValueError("nonneg must flag all variables or none")
-    if lam == 0:
-        return solve_qp(prog, tol=tol, max_iter=max_iter)
 
     t0 = time.perf_counter()
     x = prog.f / scale

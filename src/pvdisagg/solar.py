@@ -9,16 +9,16 @@ All angles in degrees, irradiances in W/m2, temperatures in Celsius.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
 from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
     UNIT_W_PER_M2,
     check_aligned,
+    resample_average,
 )
 
 SOLAR_CONSTANT = 1367.0  # W/m2
@@ -333,7 +333,6 @@ class PlaneBank:
 
     def resampled(self, new_period: int) -> "PlaneBank":
         """Block-average every row to a coarser grid (same geometry)."""
-        from .timeseries import resample_average  # local to avoid cycle noise
         rows = [resample_average(
             TimeSeries(self.start_epoch, self.period, row, UNIT_W_PER_M2),
             new_period).values for row in self.irradiance]

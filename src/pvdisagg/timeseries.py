@@ -205,15 +205,28 @@ def _iso(epoch: int) -> str:
             .isoformat().replace("+00:00", "Z"))
 
 
-def write_csv(series: TimeSeries, path, comments=()):
-    """Write 'timestamp,value' rows, preceded by '#' comment lines."""
-    with open(path, "w", newline="") as fh:
+def write_table(path, timestamps, columns, header: str, comments=()):
+    """Write one row per timestamp: its ISO time, then one value per column.
+
+    '#' comment lines and the header line come first; LF line endings and
+    repr() digits, so every value reads back bit for bit.
+    """
+    with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "value"])
-        for epoch, val in zip(series.timestamps(), series.values):
-            writer.writerow([_iso(int(epoch)), repr(float(val))])
+        fh.write(header + "\n")
+        # one row of Python floats at a time: whole columns as lists
+        # would cost ~30 bytes per value
+        for epoch, row in zip(np.asarray(timestamps).tolist(),
+                              np.asarray(columns, dtype=float).T):
+            fh.write(f"{_iso(epoch)},"
+                     f"{','.join(map(repr, row.tolist()))}\n")
+
+
+def write_csv(series: TimeSeries, path, comments=()):
+    """Write 'timestamp,value' rows, preceded by '#' comment lines."""
+    write_table(path, series.timestamps(), [series.values],
+                "timestamp,value", comments)
 
 
 def resample_average(series: TimeSeries, new_period: int) -> TimeSeries:

@@ -1,0 +1,72 @@
+"""Import hygiene of the package modules, checked on their syntax trees.
+
+Two rules: a module uses every name it imports (``__init__.py`` is
+exempt, since its imports are the package's re-exports), and no function
+imports a package module locally; such imports go at the top of the
+module, where every reader sees the module's dependencies.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import pvdisagg
+
+MODULES = sorted(Path(pvdisagg.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _bound_name(alias):
+    return (alias.asname or alias.name).split(".")[0]
+
+
+def unused_imports(tree) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                imported[_bound_name(alias)] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def local_package_imports(tree) -> list:
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0
+                    or (node.module or "").split(".")[0] == "pvdisagg"):
+                found.append(f"{func.name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_package_import(path):
+    assert local_package_imports(_tree(path)) == []
+
+
+def test_checks_catch_what_they_forbid():
+    tree = ast.parse("import os\nfrom .x import y, z as w\n"
+                     "def f():\n    from .timeseries import mask_night\n"
+                     "    from scipy.optimize import nnls\n"
+                     "    return y, nnls\n")
+    assert unused_imports(tree) == ["mask_night (line 4)", "os (line 1)",
+                                    "w (line 2)"]
+    assert local_package_imports(tree) == ["f (line 4)"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import lsq_linear, nnls
+from scipy.optimize import linprog, lsq_linear, nnls
 
 from pvdisagg.errors import (AlignmentError, BankMismatchError,
                              DegenerateWeightsError)
@@ -167,6 +167,54 @@ def test_method_a_mask_keeps_recovery_exact():
     mask = np.random.default_rng(2).random(1440) < 0.7
     cap = fit_method_a(p, bank, mask=mask)
     assert np.allclose(cap.alpha, [0, 0, 0, 2.0], atol=1e-6)
+
+
+def _a_epigraph_oracle(dp, dm):
+    """min sum |dp + dm a| over a >= 0 as the primal epigraph LP
+    min sum t  s.t.  -t <= dp + dm a <= t, solved by HiGHS."""
+    r, j = dm.shape
+    eye = np.eye(r)
+    res = linprog(np.concatenate([np.zeros(j), np.ones(r)]),
+                  A_ub=np.block([[dm, -eye], [-dm, -eye]]),
+                  b_ub=np.concatenate([-dp, dp]), bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 4),
+       k=st.integers(24, 90), seg=st.one_of(st.none(), st.integers(2, 90)),
+       keep=st.sampled_from([None, 0.5, 0.8]))
+def test_method_a_reaches_the_epigraph_optimum(seed, j, k, seg, keep):
+    """Random small feeders with demand steps, masks and segment cuts:
+    the dual LP's capacities reach the primal epigraph LP's optimum, and
+    the report's own gap certificate holds."""
+    rng = np.random.default_rng(seed)
+    bank = _random_bank(rng, j, k, 300)
+    p_vals = (np.cumsum(rng.uniform(-2.0, 2.0, k) * (rng.random(k) < 0.2))
+              + 0.1 * rng.standard_normal(k)
+              - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
+    mask = None if keep is None else rng.random(k) < keep
+    cuts = set(range(0, k, seg)) if seg else {0}
+    pairs = np.array([i for i in range(1, k) if i not in cuts
+                      and (mask is None or (mask[i - 1] and mask[i]))],
+                     dtype=int)
+    if pairs.size == 0:
+        with pytest.raises(ValueError):
+            fit_method_a(ts(p_vals, 300), bank, mask=mask,
+                         segment_length=seg)
+        return
+    cap = fit_method_a(ts(p_vals, 300), bank, mask=mask, segment_length=seg)
+    dp = p_vals[pairs] - p_vals[pairs - 1]
+    dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T / 1e3
+    best = _a_epigraph_oracle(dp, dm)
+    reached = np.sum(np.abs(dp + dm @ cap.alpha))
+    assert abs(reached - best) <= 1e-9 * (1.0 + best)
+    assert abs(cap.report.objective - reached) <= 1e-12 * (1.0 + best)
+    assert cap.report.converged
+    assert abs(cap.report.duality_gap) <= 1e-6 * (1.0 + cap.report.objective)
+    assert cap.report.primal_residual <= 1e-9
 
 
 def test_method_a_needs_difference_pairs():

@@ -103,15 +103,20 @@ def test_lp_needs_constraints():
 
 
 def test_lp_duality_gap_certificate():
+    """Odd trials add upper bounds, whose marginals the gap must count."""
     rng = np.random.default_rng(2)
     for trial in range(10):
         m, n = 30, 12
         a = rng.normal(size=(m, n))
         b = rng.uniform(0.5, 2.0, m)
         c = rng.uniform(-1.0, 1.0, n)
-        prog = LinearProgram(c, a_ub=a, b_ub=b, lb=np.full(n, -5.0))
+        ub = np.full(n, 0.2) if trial % 2 else None
+        prog = LinearProgram(c, a_ub=a, b_ub=b, lb=np.full(n, -5.0), ub=ub)
         x, rep = solve_lp(prog)
         assert rep.converged
+        assert rep.primal_residual <= 1e-9
+        if ub is not None:
+            assert np.any(x >= 0.2 - 1e-9)
         assert abs(rep.duality_gap) <= 1e-6 * (1.0 + abs(rep.objective))
 
 
@@ -212,14 +217,32 @@ def _diff_op(n):
 
 
 def test_trend_lambda_zero_is_plain_qp():
+    """Without the penalty the answer is the plain QP's minimizer f/h,
+    exactly, which solve_qp reaches to its KKT tolerance."""
     rng = np.random.default_rng(6)
     n = 15
     h = sp.eye(n) * 2.0
     f = rng.normal(size=n)
     prog = QuadraticProgram(h=h, f=f)
     x0, _ = solve_qp(prog, tol=1e-9)
-    x1, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=0.0, tol=1e-9)
-    assert np.array_equal(x0, x1)
+    x1, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=0.0)
+    assert np.array_equal(x1, f / 2.0)
+    assert np.max(np.abs(x0 - x1)) <= 1e-9 * (1.0 + np.max(np.abs(f)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       h=st.sampled_from([0.5, 1.0, 3.0]), nonneg=st.booleans())
+def test_trend_lambda_zero_returns_f_over_h(seed, n, h, nonneg):
+    """lam = 0 leaves the prox input untouched, bit for bit, including
+    runs of tied values; a sign constraint only clips it."""
+    f = np.round(np.random.default_rng(seed).normal(0.0, 3.0, n), 1)
+    prog = QuadraticProgram(h=h * sp.eye(n), f=f,
+                            nonneg=np.full(n, nonneg))
+    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=0.0)
+    expected = np.clip(f / h, 0.0, None) if nonneg else f / h
+    assert np.array_equal(x, expected)
+    assert rep.converged
 
 
 def test_trend_large_lambda_flattens():
@@ -238,7 +261,7 @@ def test_trend_recovers_two_breakpoints():
     y = np.concatenate([np.zeros(17), 4.0 * np.ones(18), 1.0 * np.ones(15)])
     prog = QuadraticProgram(h=sp.eye(n), f=y)
     lam = 0.2
-    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=lam, tol=1e-9)
+    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=lam)
     jumps = np.flatnonzero(np.abs(np.diff(x)) > 1e-4)
     assert list(jumps) == [16, 34]
 
@@ -266,7 +289,7 @@ def test_trend_tv_monotone_in_lambda():
     tv = []
     for lam in (0.0, 0.1, 0.5, 2.0, 10.0):
         prog = QuadraticProgram(h=sp.eye(n), f=y)
-        x, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=lam, tol=1e-9)
+        x, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=lam)
         tv.append(np.sum(np.abs(np.diff(x))))
     for a, b in zip(tv, tv[1:]):
         assert b <= a + 1e-6
@@ -352,7 +375,8 @@ def test_psd_sparse_path_matches_dense():
     dense = psd_check_and_regularize(h, 1e-4)
     sparse = psd_check_and_regularize(sp.csc_matrix(h), 1e-4)
     assert dense[1] == sparse[1] is True
-    assert np.allclose(dense[0], sparse[0].toarray())
+    assert np.array_equal(dense[0], sparse[0])
+    assert dense[2] == sparse[2]
 
 
 def test_psd_rejects_asymmetric():
