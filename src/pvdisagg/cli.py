@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import DisaggError, InputError, SolverError
+from .errors import DisaggError, InputError, SolverError, config_number
 from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, compute_metrics,
                          generate_scenario, penetration_experiment, run_cv)
 from .methods import CapacityVector, MethodParams, disaggregate, fit
@@ -240,19 +240,13 @@ def _expand_methods(entries) -> list:
         unknown = set(entry) - set(_PARAM_KEYS)
         if unknown:
             raise InputError(f"unknown method keys: {sorted(unknown)}")
-        fields = {_PARAM_KEYS[k]: v for k, v in entry.items()}
-        listy = {k: v for k, v in fields.items() if isinstance(v, list)}
-        scalars = {k: v for k, v in fields.items()
-                   if not isinstance(v, list)}
-        if listy:
-            for combo in itertools.product(*listy.values()):
-                kw = dict(scalars)
-                kw.update(zip(listy.keys(), combo))
-                grid.append(MethodParams(method=method, sampling_period=1,
-                                         **kw))
-        else:
+        # a scalar is a one-value list; only c is an integer
+        options = {_PARAM_KEYS[k]: [config_number(x, k, k == "c") for x in
+                                    (v if isinstance(v, list) else [v])]
+                   for k, v in entry.items()}
+        for combo in itertools.product(*options.values()):
             grid.append(MethodParams(method=method, sampling_period=1,
-                                     **scalars))
+                                     **dict(zip(options, combo))))
     return grid
 
 
@@ -408,10 +402,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, yaml.YAMLError, ValueError, KeyError,
+    except (InputError, OSError, yaml.YAMLError, ValueError, KeyError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

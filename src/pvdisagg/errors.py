@@ -58,6 +58,20 @@ class BankMismatchError(InputError):
     """A capacity vector was fitted against a different plane bank."""
 
 
+def config_number(value, key: str, integer: bool = False):
+    """A config value as a float (an int when integer is set); numeric
+    strings convert, anything else raises InputError naming the key."""
+    if integer and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{key}: expected a number, got {value!r}") from None
+    if integer and not number.is_integer():
+        raise InputError(f"{key}: expected an integer, got {value!r}")
+    return int(number) if integer else number
+
+
 # --- solver errors --------------------------------------------------------
 
 class SolverError(DisaggError):

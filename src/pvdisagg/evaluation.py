@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import config_number
 from .methods import MethodParams, fit, predict_generation
 from .solar import (PlaneBank, PlaneConfig, SiteConfig, build_bank,
                     clearsky_ghi, default_bank, sun_position)
@@ -150,10 +151,13 @@ class ScenarioSpec:
         if extra:
             raise ValueError(f"unknown scenario keys: {sorted(extra)}")
         d = dict(d)
+        for f in dataclasses.fields(cls):
+            if f.name in d and f.type in ("float", "int"):
+                d[f.name] = config_number(d[f.name], f.name, f.type == "int")
         if "plant" in d:
-            d["plant"] = tuple(
-                {"tilt": float(p["tilt"]), "azimuth": float(p["azimuth"]),
-                 "kwp": float(p["kwp"])} for p in d["plant"])
+            d["plant"] = tuple({k: config_number(p[k], f"plant {k}")
+                                for k in ("tilt", "azimuth", "kwp")}
+                               for p in d["plant"])
         if d.get("cloud_kinds") is not None:
             d["cloud_kinds"] = tuple(d["cloud_kinds"])
         spec = cls(**d)
@@ -198,13 +202,9 @@ def _telegraph(rng: np.random.Generator, n: int, lo: float, hi: float,
                flip_p: float) -> np.ndarray:
     """Two-state switching signal; mean dwell 1/flip_p samples."""
     state = rng.random() < 0.5
-    out = np.empty(n)
     flips = rng.random(n) < flip_p
-    for i in range(n):
-        if flips[i]:
-            state = not state
-        out[i] = hi if state else lo
-    return out
+    # the state after sample i has flipped once per flip up to i
+    return np.where(state ^ (np.cumsum(flips) % 2 == 1), hi, lo)
 
 
 def _cloud_series(rng: np.random.Generator, days: int, spd: int,

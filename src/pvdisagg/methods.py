@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import dsp
 from .errors import (AlignmentError, BankMismatchError,
@@ -133,14 +132,13 @@ def _check_bank(p: TimeSeries, bank: PlaneBank) -> None:
             "series and plane bank are not on the same sampling grid")
 
 
-def _segment_bounds(n: int, segment_length: Optional[int]):
-    """Half-open [a, b) chunks; None means one contiguous segment."""
-    if segment_length is None or segment_length >= n:
-        return [(0, n)]
+def _segment_starts(k: int, segment_length: Optional[int]) -> np.ndarray:
+    """First sample of every segment; None means one contiguous segment."""
+    if segment_length is None or segment_length >= k:
+        return np.zeros(1, dtype=int)
     if segment_length < 2:
         raise ValueError("segment_length must be at least 2")
-    return [(a, min(a + segment_length, n))
-            for a in range(0, n, segment_length)]
+    return np.arange(0, k, segment_length)
 
 
 def _column_scales(m: np.ndarray) -> np.ndarray:
@@ -188,14 +186,11 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
     if k < j + 1:
         raise ValueError(f"need at least {j + 1} samples for {j} planes")
 
-    pairs = []
-    for a, b in _segment_bounds(k, segment_length):
-        for i in range(a + 1, b):
-            if mask is None or (mask[i - 1] and mask[i]):
-                pairs.append(i)
-    if not pairs:
+    pairs = np.setdiff1d(np.arange(1, k), _segment_starts(k, segment_length))
+    if mask is not None:
+        pairs = pairs[np.logical_and(mask[pairs - 1], mask[pairs])]
+    if pairs.size == 0:
         raise ValueError("no usable sample-to-sample difference pairs")
-    pairs = np.asarray(pairs)
 
     dp = p.values[pairs] - p.values[pairs - 1]
     dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T
@@ -323,21 +318,14 @@ def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
         # the Newton step on the wrong piece of the envelope.
         demand = _block_demand(np.arange(k), k)
     else:
-        seg_starts = np.array([a for a, _ in
-                               _segment_bounds(k, segment_length)])
-        # rows L[i] - L[i-1], none across a segment start
-        i = np.setdiff1d(np.arange(1, k), seg_starts)
-        eye = sp.identity(k, format="csr")
-        d_op = eye[i] - eye[i - 1]
-        nonneg = np.ones(k, dtype=bool)
+        seg_starts = _segment_starts(k, segment_length)
         mu = lam / 2.0  # the fit's 0.5 |L - y|^2 halves the stated ratio
 
         def demand(y):
-            l, _ = solve_l1_trend_qp(QuadraticProgram(eye, y, nonneg=nonneg),
-                                     d_op, mu)
+            l, report = solve_l1_trend_qp(y, mu, seg_starts)
             starts = np.union1d(seg_starts,
                                 np.flatnonzero(l[1:] != l[:-1]) + 1)
-            return l, starts, mu * float(np.sum(np.abs(d_op @ l)))
+            return l, starts, mu * report.notes["total_variation"]
     return _fit_envelope(p, bank, demand)
 
 
@@ -356,8 +344,9 @@ def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
     if c < 1:
         raise ValueError("c must be a positive integer")
     k = len(p)
-    starts = np.concatenate([np.arange(a, b, c) for a, b in
-                             _segment_bounds(k, segment_length)])
+    seg = _segment_starts(k, segment_length)
+    offset = np.arange(k) - np.repeat(seg, np.diff(seg, append=k))
+    starts = np.flatnonzero(offset % c == 0)  # block starts
     return _fit_envelope(p, bank, _block_demand(starts, k))
 
 
@@ -378,7 +367,8 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
 
     y = np.empty(k)
     x_mat = np.empty((k, j))
-    for a, b in _segment_bounds(k, segment_length):
+    seg_starts = _segment_starts(k, segment_length)
+    for a, b in zip(seg_starts, np.append(seg_starts[1:], k)):
         y[a:b] = dsp.apply_array(filt, p.values[a:b])
         for jj in range(j):
             x_mat[a:b, jj] = dsp.apply_array(filt, bank.irradiance[jj, a:b])

@@ -8,9 +8,8 @@ on the sizes it is given:
                      factor, then one exact bounded least-squares solve per
                      step (nnls, BVLS or a triangular solve), stopped on the
                      KKT residual of the unridged problem;
-  solve_l1_trend_qp  the prox of a total-variation penalty by Condat's
-                     direct algorithm, clipped at zero for nonnegative
-                     variables;
+  solve_l1_trend_qp  the prox of a total-variation penalty on each segment
+                     by Condat's direct algorithm, clipped at zero;
   solve_lp           HiGHS through scipy.optimize.linprog, returning the
                      row duals and a recomputed duality gap;
   irls_bisquare      majorize-minimize robust regression on nnls.
@@ -181,6 +180,14 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     return x, report
 
 
+def _dense_symmetric(h) -> np.ndarray:
+    """H as a dense float array; ValueError unless it is symmetric."""
+    h = np.asarray(h.toarray() if sp.issparse(h) else h, dtype=float)
+    if np.max(np.abs(h - h.T)) > 1e-8 * (np.max(np.abs(h)) + 1.0):
+        raise ValueError("H must be symmetric")
+    return h
+
+
 def psd_check_and_regularize(h, beta_reg: float):
     """Return (H + beta_reg*I, is_pd, min_eig) as dense values.
 
@@ -188,11 +195,8 @@ def psd_check_and_regularize(h, beta_reg: float):
     matrix certifies positive definiteness; min_eig is its exact smallest
     eigenvalue.  A sparse H is densified first.
     """
-    n = h.shape[0]
-    h = np.asarray(h.toarray() if sp.issparse(h) else h, dtype=float)
-    if np.max(np.abs(h - h.T)) > 1e-8 * (np.max(np.abs(h)) + 1.0):
-        raise ValueError("H must be symmetric")
-    h_reg = h + beta_reg * np.eye(n)
+    h = _dense_symmetric(h)
+    h_reg = h + beta_reg * np.eye(h.shape[0])
     min_eig = float(dense_eigh(h_reg, eigvals_only=True,
                                subset_by_index=[0, 0])[0])
     try:
@@ -215,20 +219,21 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
     projected-gradient (KKT) residual of the unridged H is at most
     tol * (1 + max(|Hx|, |f|)); the report carries that residual, the
     bound violation and the complementarity gap x[nonneg]'(Hx - f)[nonneg].
-    Raises NotConvexError when even the ridged matrix fails the
-    positive-definiteness check.
+    Raises NotConvexError when the ridged matrix has no Cholesky factor.
     """
-    _, is_pd, min_eig = psd_check_and_regularize(prog.h, prog.beta_reg)
-    if not is_pd:
+    t0 = time.perf_counter()
+    h = _dense_symmetric(prog.h)
+    n = prog.f.size
+    h_reg = h + prog.beta_reg * np.eye(n)
+    try:
+        r = cholesky(h_reg)
+    except np.linalg.LinAlgError:
+        min_eig = psd_check_and_regularize(h, prog.beta_reg)[2]
         raise NotConvexError(
             f"quadratic cost not positive definite (min eig ~ {min_eig:g}) "
-            f"even with beta_reg={prog.beta_reg:g}")
-    t0 = time.perf_counter()
-    h = prog.h.toarray() if sp.issparse(prog.h) else np.asarray(prog.h)
-    n = prog.f.size
+            f"even with beta_reg={prog.beta_reg:g}") from None
     nonneg = (prog.nonneg if prog.nonneg is not None
               else np.zeros(n, dtype=bool))
-    r = cholesky(h + prog.beta_reg * np.eye(n))
     if nonneg.all():
         def step(b):
             return nnls(r, b)[0]
@@ -258,7 +263,6 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
     report.objective = float(0.5 * x @ hx - prog.f @ x)
     report.primal_residual = float(np.max(-x[nonneg], initial=0.0))
     report.duality_gap = float(x[nonneg] @ grad[nonneg])
-    report.notes["min_eig"] = min_eig
     report.wall_time = time.perf_counter() - t0
     return x, report
 
@@ -330,57 +334,29 @@ def _tv_prox(y: list, lam: float) -> list:
             umax = -lam
 
 
-def solve_l1_trend_qp(prog: QuadraticProgram, d_op, lam: float):
-    """Solve min 0.5x'Hx - f'x + lam*||D x||_1 (x >= 0 when nonneg is set).
+def solve_l1_trend_qp(y, lam: float, starts):
+    """Solve min_{x >= 0} 0.5|x - y|^2 + lam * sum |x[i+1] - x[i]|, where
+    no difference crosses a segment start.
 
-    H must be a positive multiple h*I of the identity and D must consist of
-    first-difference rows (-1, +1 on adjacent columns, each pair at most
-    once); anything else raises ValueError.  The minimizer is then the
-    total-variation prox of f/h with weight lam/h on every chain of
-    linked variables, computed exactly by Condat's algorithm and clipped
-    at zero, which is the prox of the penalty plus nonnegativity (Yu,
-    NeurIPS 2013).  nonneg must flag all variables or none.  With lam = 0
-    the prox leaves its input unchanged, so the answer is f/h, clipped.
+    starts holds the first index of every segment, ascending from 0.  Each
+    segment of two or more samples gets its exact total-variation prox by
+    Condat's algorithm; a one-sample segment keeps its value.  Clipping the
+    result at zero gives the prox of the penalty plus nonnegativity (Yu,
+    NeurIPS 2013).  The report's notes carry the total variation within
+    segments; with lam = 0 the answer is y clipped at zero.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    n = prog.f.size
-    h = sp.csr_matrix(prog.h)
-    scale = float(h[0, 0])
-    if not scale > 0 or (h - scale * sp.identity(n)).count_nonzero():
-        raise ValueError("H must be a positive multiple of the identity")
-    d = sp.csr_matrix(d_op, copy=True)
-    if d.shape[1] != n:
-        raise ValueError("differencing operator has wrong width")
-    d.eliminate_zeros()
-    d.sort_indices()
-    if np.any(np.diff(d.indptr) != 2):
-        raise ValueError("D must consist of first-difference rows")
-    cols = d.indices.reshape(-1, 2)
-    vals = d.data.reshape(-1, 2)
-    if (np.any(cols[:, 1] - cols[:, 0] != 1) or np.any(np.abs(vals) != 1.0)
-            or np.any(vals.sum(axis=1) != 0.0)):
-        raise ValueError("D must consist of first-difference rows")
-    links = np.sort(cols[:, 0])
-    if np.any(np.diff(links) == 0):
-        raise ValueError("D repeats a first-difference row")
-    nonneg = prog.nonneg
-    if nonneg is not None and nonneg.any() and not nonneg.all():
-        raise ValueError("nonneg must flag all variables or none")
-
     t0 = time.perf_counter()
-    x = prog.f / scale
-    # each chain of consecutive links i -> i+1 is one 1-D prox problem
-    linked = np.zeros(n, dtype=np.int8)
-    linked[links] = 1
-    edge = np.diff(linked, prepend=0, append=0)
-    for a, b in zip(np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)):
-        x[a:b + 1] = _tv_prox(x[a:b + 1].tolist(), lam / scale)
-    if nonneg is not None and nonneg.all():
-        x = np.clip(x, 0.0, None)
-    tv = float(np.sum(np.abs(d @ x)))
+    x = np.array(y, dtype=float)
+    ends = np.append(starts[1:], x.size)
+    for a, b in zip(starts, ends):
+        if b - a > 1:
+            x[a:b] = _tv_prox(x[a:b].tolist(), lam)
+    x = np.clip(x, 0.0, None)
+    tv = float(np.sum(np.abs(np.delete(np.diff(x), ends[:-1] - 1))))
     report = SolverReport(
-        objective=float(0.5 * scale * x @ x - prog.f @ x + lam * tv),
+        objective=float(0.5 * np.sum((x - y) ** 2) + lam * tv),
         iterations=1, primal_residual=0.0, dual_residual=0.0,
         duality_gap=0.0, converged=True, status="solved",
         wall_time=time.perf_counter() - t0,

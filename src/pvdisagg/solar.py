@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import config_number
 from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
@@ -374,16 +375,20 @@ def site_from_config(cfg: dict):
     {tilt, azimuth}; omitted = the default 21-plane set), beta, gamma, t_ref.
     Returns (SiteConfig, planes, TemperatureModel).
     """
-    site = SiteConfig(latitude=float(cfg["latitude"]),
-                      longitude=float(cfg["longitude"]),
-                      albedo=float(cfg.get("albedo", 0.2)),
-                      altitude=float(cfg.get("altitude", 0.0)))
+    def number(key, default=None, entry=cfg):
+        return config_number(entry.get(key, default), key)
+
+    site = SiteConfig(latitude=number("latitude"),
+                      longitude=number("longitude"),
+                      albedo=number("albedo", 0.2),
+                      altitude=number("altitude", 0.0))
     if "planes" in cfg and cfg["planes"] is not None:
-        planes = [PlaneConfig(float(p["tilt"]), float(p["azimuth"]))
+        planes = [PlaneConfig(number("tilt", entry=p),
+                              number("azimuth", entry=p))
                   for p in cfg["planes"]]
     else:
         planes = default_bank()
-    model = TemperatureModel(beta=float(cfg.get("beta", 3.78e-2)),
-                             gamma=float(cfg.get("gamma", -4.3e-3)),
-                             t_ref=float(cfg.get("t_ref", 25.0)))
+    model = TemperatureModel(beta=number("beta", 3.78e-2),
+                             gamma=number("gamma", -4.3e-3),
+                             t_ref=number("t_ref", 25.0))
     return site, planes, model

@@ -32,6 +32,7 @@ UNIT_CELSIUS = "celsius"
 _KNOWN_UNITS = (UNIT_KW, UNIT_W_PER_M2, UNIT_CELSIUS)
 
 SECONDS_PER_DAY = 86400
+_ROWS_PER_BLOCK = 4096  # rows whose time stamps write_table formats at once
 
 
 @dataclass(eq=False)
@@ -200,11 +201,6 @@ def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSerie
     return TimeSeries(int(t[0]), period, full, unit, repaired=missing)
 
 
-def _iso(epoch: int) -> str:
-    return (datetime.fromtimestamp(epoch, tz=timezone.utc)
-            .isoformat().replace("+00:00", "Z"))
-
-
 def write_table(path, timestamps, columns, header: str, comments=()):
     """Write one row per timestamp: its ISO time, then one value per column.
 
@@ -215,12 +211,16 @@ def write_table(path, timestamps, columns, header: str, comments=()):
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        # one row of Python floats at a time: whole columns as lists
-        # would cost ~30 bytes per value
-        for epoch, row in zip(np.asarray(timestamps).tolist(),
-                              np.asarray(columns, dtype=float).T):
-            fh.write(f"{_iso(epoch)},"
-                     f"{','.join(map(repr, row.tolist()))}\n")
+        # one row of Python floats at a time, and time stamps formatted a
+        # block at a time: whole columns as Python objects would cost ~30
+        # bytes per value
+        stamps = np.asarray(timestamps).astype("datetime64[s]")
+        rows = np.asarray(columns, dtype=float).T
+        for a in range(0, len(rows), _ROWS_PER_BLOCK):
+            block = slice(a, a + _ROWS_PER_BLOCK)
+            for stamp, row in zip(np.datetime_as_string(
+                    stamps[block], unit="s").tolist(), rows[block]):
+                fh.write(f"{stamp}Z,{','.join(map(repr, row.tolist()))}\n")
 
 
 def write_csv(series: TimeSeries, path, comments=()):

@@ -380,6 +380,36 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
     assert "unknown method keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, code, message", [
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "B", "lam": None}],
+               "resolutions_s": [900]},
+     2, "lam: expected a number"),
+    ("synth", {"days": "3", "period_s": 300}, 0, ""),
+    ("transpose", {"latitude": 47.5, "longitude": None},
+     2, "longitude: expected a number"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "C", "c": 2.5}],
+               "resolutions_s": [900]},
+     2, "c: expected an integer"),  # refused, never truncated
+])
+def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
+                                         code, message):
+    """A YAML value of the wrong type is converted where it is read, or
+    refused with exit 2 naming its key, never a traceback."""
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(config))
+    flag = {"sweep": "--config", "synth": "--scenario",
+            "transpose": "--site"}[command]
+    extra = ([f"--{name}={tmp_path / name}" for name in ("ghi", "t-air", "out")]
+             if command == "transpose" else ["--out-dir", str(tmp_path)])
+    assert main([command, flag, str(path), *extra]) == code
+    assert message in capsys.readouterr().err
+    if command == "synth":
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        assert doc["scenario"]["days"] == 3
+
+
 # ---------------------------------------------------------------------------
 # parser plumbing
 

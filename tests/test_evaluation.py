@@ -7,7 +7,7 @@ import pytest
 
 from pvdisagg.errors import AlignmentError
 from pvdisagg.evaluation import (ScenarioSpec, SweepResult, SweepRow,
-                                 aggregate_stats, compute_metrics,
+                                 _telegraph, aggregate_stats, compute_metrics,
                                  generate_scenario, penetration_experiment,
                                  run_cv)
 from pvdisagg.methods import MethodParams
@@ -171,6 +171,29 @@ def test_generator_cloud_kinds_scale_the_sky():
     overcast = generate_scenario(
         dataclasses.replace(base, cloud_kinds=("overcast", "overcast")))
     assert clear.ghi.values.mean() > 1.5 * overcast.ghi.values.mean()
+
+
+def test_telegraph_matches_the_sample_loop():
+    """The vectorized switching signal equals a per-sample loop over the
+    same draws, and leaves the generator in the same state."""
+    def loop(rng, n, lo, hi, flip_p):
+        state = rng.random() < 0.5
+        flips = rng.random(n) < flip_p
+        out = np.empty(n)
+        for i in range(n):
+            if flips[i]:
+                state = not state
+            out[i] = hi if state else lo
+        return out
+
+    cases = np.random.default_rng(3)
+    for seed in range(200):
+        n = int(cases.integers(0, 400))
+        flip_p = float(cases.choice([0.0, 1.0, cases.random()]))
+        fast, slow = (np.random.default_rng(seed) for _ in range(2))
+        assert np.array_equal(_telegraph(fast, n, 0.35, 0.95, flip_p),
+                              loop(slow, n, 0.35, 0.95, flip_p))
+        assert fast.random() == slow.random()
 
 
 def test_generator_duty_cycle_is_a_square_wave():

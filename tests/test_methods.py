@@ -12,12 +12,10 @@ from pvdisagg.evaluation import ScenarioSpec, generate_scenario
 from pvdisagg.methods import (CapacityVector, MethodParams, disaggregate,
                               fit, fit_method_a, fit_method_b, fit_method_c,
                               fit_method_d, predict_generation)
-from pvdisagg.optim import QuadraticProgram, solve_l1_trend_qp
+from pvdisagg.optim import solve_l1_trend_qp
 from pvdisagg.solar import PlaneBank, PlaneConfig
 from pvdisagg.timeseries import (UNIT_KW, TimeSeries, make_folds,
                                  resample_average)
-
-import scipy.sparse as sp
 
 START = 1685577600
 
@@ -238,15 +236,8 @@ def test_method_b_zero_bank_is_pure_trend_filter():
     cap, l_hat = fit_method_b(ts(p_vals, 60), bank, lam=2.0)
     assert np.allclose(cap.alpha, 0.0, atol=1e-8)
 
-    d_rows = sp.csc_matrix(
-        (np.tile([-1.0, 1.0], k - 1),
-         (np.repeat(np.arange(k - 1), 2),
-          np.ravel(np.column_stack([np.arange(k - 1), np.arange(1, k)])))),
-        shape=(k - 1, k))
-    prog = QuadraticProgram(sp.identity(k, format="csc"), p_vals,
-                            nonneg=np.ones(k, dtype=bool), beta_reg=1e-4)
-    x_ref, _ = solve_l1_trend_qp(prog, d_rows, 2.0 / 2.0)
-    assert np.max(np.abs(l_hat.values - np.clip(x_ref, 0, None))) < 1e-6
+    x_ref, _ = solve_l1_trend_qp(p_vals, 2.0 / 2.0, np.zeros(1, dtype=int))
+    assert np.max(np.abs(l_hat.values - x_ref)) < 1e-6
 
 
 def test_method_b_large_lambda_recovers_constant_demand():
@@ -345,6 +336,24 @@ def test_method_d_mask_keeps_recovery():
     mask = np.random.default_rng(3).random(len(p_vals)) < 0.8
     cap = fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120, mask=mask)
     assert rel_err(cap.alpha, alpha_true) < 1e-8
+
+
+def test_method_d_filters_each_segment_on_its_own():
+    """Swapping the two day segments of P and of the bank leaves D's
+    capacities unchanged: no filter transient crosses a segment start."""
+    kd = 2880
+    bank = textured_bank(2 * kd, 30)
+    bank.irradiance[:, kd:] *= 0.6
+    rng = np.random.default_rng(21)
+    p_vals = (np.repeat(rng.uniform(2.0, 9.0, 96), 60)
+              + 0.05 * rng.standard_normal(2 * kd)
+              - np.array([1.5, 0.0, 2.5, 0.8]) @ bank.irradiance / 1000.0)
+    swap = np.r_[kd:2 * kd, 0:kd]
+    swapped = PlaneBank(bank.planes, bank.irradiance[:, swap], START, 30)
+    alpha = [fit_method_d(ts(p, 30), b, 1 / 600, 1 / 120,
+                          segment_length=kd).alpha
+             for p, b in ((p_vals, bank), (p_vals[swap], swapped))]
+    assert np.max(np.abs(alpha[0] - alpha[1])) <= 1e-9
 
 
 def test_method_d_refuses_empty_band():
@@ -473,18 +482,19 @@ def test_method_b_certified_where_demand_clips_at_zero():
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), c=st.integers(2, 8),
-       j=st.integers(1, 4))
-def test_method_c_equals_full_nnls(seed, c, j):
+       j=st.integers(1, 4), seg=st.sampled_from([None, 17, 24]))
+def test_method_c_equals_full_nnls(seed, c, j, seg):
     """Random small feeders, many with negative block means (demand
-    clipped at zero): the capacities are the full NNLS optimum."""
+    clipped at zero), blocks restarting at every segment start: the
+    capacities are the full NNLS optimum."""
     rng = np.random.default_rng(seed)
     k = 48
     bank = _random_bank(rng, j, k, 300)
     levels = np.repeat(rng.uniform(-3.0, 4.0, -(-k // c)), c)[:k]
     p_vals = (levels + 0.3 * rng.standard_normal(k)
               - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
-    cap, _ = fit_method_c(ts(p_vals, 300), bank, c)
-    ref = _c_oracle(p_vals, bank, c, k)
+    cap, _ = fit_method_c(ts(p_vals, 300), bank, c, segment_length=seg)
+    ref = _c_oracle(p_vals, bank, c, seg or k)
     assert cap.report.converged
     assert np.max(np.abs(cap.alpha - ref)) <= 1e-7 * (1.0 + np.max(ref))
 

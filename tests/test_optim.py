@@ -209,39 +209,43 @@ def test_qp_polish_respects_multiplier_signs():
     assert worst <= 1e-6
 
 
-# --- trend-penalized quadratics --------------------------------------------
+# --- segment-wise total-variation prox -------------------------------------
 
-def _diff_op(n):
-    return sp.diags([np.full(n - 1, -1.0), np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n))
+ONE = np.zeros(1, dtype=int)  # a single segment
+
+
+def _random_starts(rng, n):
+    """Ascending segment starts from 0; adjacent cuts make one-sample
+    segments common."""
+    cuts = np.flatnonzero(rng.random(n - 1) < 0.25) + 1
+    return np.concatenate([[0], cuts])
 
 
 def test_trend_lambda_zero_is_plain_qp():
-    """Without the penalty the answer is the plain QP's minimizer f/h,
-    exactly, which solve_qp reaches to its KKT tolerance."""
+    """Without the penalty the answer is the nonnegative QP's minimizer,
+    y clipped at zero, exactly; solve_qp reaches it to its KKT tolerance."""
     rng = np.random.default_rng(6)
     n = 15
-    h = sp.eye(n) * 2.0
-    f = rng.normal(size=n)
-    prog = QuadraticProgram(h=h, f=f)
-    x0, _ = solve_qp(prog, tol=1e-9)
-    x1, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=0.0)
-    assert np.array_equal(x1, f / 2.0)
-    assert np.max(np.abs(x0 - x1)) <= 1e-9 * (1.0 + np.max(np.abs(f)))
+    y = rng.normal(size=n)
+    x0, _ = solve_qp(QuadraticProgram(h=sp.eye(n), f=y,
+                                      nonneg=np.ones(n, dtype=bool)),
+                     tol=1e-9)
+    x1, _ = solve_l1_trend_qp(y, 0.0, ONE)
+    assert np.array_equal(x1, np.clip(y, 0.0, None))
+    assert np.max(np.abs(x0 - x1)) <= 1e-9 * (1.0 + np.max(np.abs(y)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
-       h=st.sampled_from([0.5, 1.0, 3.0]), nonneg=st.booleans())
-def test_trend_lambda_zero_returns_f_over_h(seed, n, h, nonneg):
-    """lam = 0 leaves the prox input untouched, bit for bit, including
-    runs of tied values; a sign constraint only clips it."""
-    f = np.round(np.random.default_rng(seed).normal(0.0, 3.0, n), 1)
-    prog = QuadraticProgram(h=h * sp.eye(n), f=f,
-                            nonneg=np.full(n, nonneg))
-    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=0.0)
-    expected = np.clip(f / h, 0.0, None) if nonneg else f / h
-    assert np.array_equal(x, expected)
+       h=st.sampled_from([0.5, 1.0, 3.0]))
+def test_trend_lambda_zero_returns_f_over_h(seed, n, h):
+    """min 0.5h|x|^2 - f'x over x >= 0 is the prox of f/h; lam = 0 leaves
+    that input untouched bit for bit on every segment, including runs of
+    tied values, and clipping is the only change."""
+    rng = np.random.default_rng(seed)
+    f = np.round(rng.normal(0.0, 3.0, n), 1)
+    x, rep = solve_l1_trend_qp(f / h, 0.0, _random_starts(rng, n))
+    assert np.array_equal(x, np.clip(f / h, 0.0, None))
     assert rep.converged
 
 
@@ -250,8 +254,7 @@ def test_trend_large_lambda_flattens():
     rng = np.random.default_rng(7)
     n = 40
     y = 5.0 + 0.1 * rng.normal(size=n)
-    prog = QuadraticProgram(h=sp.eye(n), f=y)  # 0.5||x||^2 - y'x
-    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=100.0)
+    x, rep = solve_l1_trend_qp(y, 100.0, ONE)
     assert np.max(np.abs(np.diff(x))) <= 1e-8
     assert abs(x.mean() - y.mean()) <= 1e-6
 
@@ -259,9 +262,8 @@ def test_trend_large_lambda_flattens():
 def test_trend_recovers_two_breakpoints():
     n = 50
     y = np.concatenate([np.zeros(17), 4.0 * np.ones(18), 1.0 * np.ones(15)])
-    prog = QuadraticProgram(h=sp.eye(n), f=y)
     lam = 0.2
-    x, rep = solve_l1_trend_qp(prog, _diff_op(n), lam=lam)
+    x, rep = solve_l1_trend_qp(y, lam, ONE)
     jumps = np.flatnonzero(np.abs(np.diff(x)) > 1e-4)
     assert list(jumps) == [16, 34]
 
@@ -280,61 +282,51 @@ def test_trend_recovers_two_breakpoints():
             v[b2:] = y[b2:].mean()
             best = min(best, objective(v))
     assert objective(x) <= best + 1e-6
+    assert abs(rep.notes["total_variation"]
+               - np.sum(np.abs(np.diff(x)))) <= 1e-12
 
 
 def test_trend_tv_monotone_in_lambda():
     rng = np.random.default_rng(8)
     n = 30
     y = np.cumsum(rng.normal(size=n))
+    y += 1.0 - y.min()  # above zero, so the clip never binds
     tv = []
     for lam in (0.0, 0.1, 0.5, 2.0, 10.0):
-        prog = QuadraticProgram(h=sp.eye(n), f=y)
-        x, _ = solve_l1_trend_qp(prog, _diff_op(n), lam=lam)
+        x, _ = solve_l1_trend_qp(y, lam, ONE)
         tv.append(np.sum(np.abs(np.diff(x))))
     for a, b in zip(tv, tv[1:]):
         assert b <= a + 1e-6
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
-       lam=st.sampled_from([0.01, 0.3, 1.0, 5.0]),
-       h=st.sampled_from([0.5, 1.0, 3.0]))
-def test_trend_matches_dual_oracle(seed, n, lam, h):
-    """min 0.5h|x|^2 - f'x + lam|Dx|_1 against its box-constrained dual,
-    min |f/h - (lam/h) D'z|, |z| <= 1, solved by BVLS.  Rounded data
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       lam=st.sampled_from([0.01, 0.3, 1.0, 5.0]))
+def test_trend_matches_dual_oracle(seed, n, lam):
+    """Each segment against its box-constrained dual  min |y - lam D'z|,
+    |z| <= 1, solved by BVLS, then clipped at zero; the reported total
+    variation never counts a jump across a segment start.  Rounded data
     makes ties between neighbors common."""
-    f = np.round(np.random.default_rng(seed).normal(0.0, 3.0, n), 1)
-    x, rep = solve_l1_trend_qp(QuadraticProgram(h=h * sp.eye(n), f=f),
-                               _diff_op(n), lam=lam)
-    d = _diff_op(n).toarray()
-    z = lsq_linear(lam / h * d.T, f / h, bounds=(-1.0, 1.0),
-                   method="bvls", tol=1e-14).x
+    rng = np.random.default_rng(seed)
+    y = np.round(rng.normal(0.5, 3.0, n), 1)
+    starts = _random_starts(rng, n)
+    x, rep = solve_l1_trend_qp(y, lam, starts)
+    expected, tv = np.clip(y, 0.0, None), 0.0
+    for a, b in zip(starts, np.append(starts[1:], n)):
+        if b - a > 1:
+            d = np.diff(np.eye(b - a), axis=0)
+            z = lsq_linear(lam * d.T, y[a:b], bounds=(-1.0, 1.0),
+                           method="bvls", tol=1e-14).x
+            expected[a:b] = np.clip(y[a:b] - lam * d.T @ z, 0.0, None)
+        tv += np.sum(np.abs(np.diff(x[a:b])))
     assert rep.converged
-    assert np.max(np.abs(x - (f / h - lam / h * d.T @ z))) <= 1e-9
-
-
-@pytest.mark.parametrize("h, d_op, nonneg", [
-    (sp.diags(np.arange(1.0, 7.0)), _diff_op(6), None),
-    (sp.eye(6) + sp.eye(6, k=1) + sp.eye(6, k=-1), _diff_op(6), None),
-    (-sp.eye(6), _diff_op(6), None),
-    (sp.eye(6), sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(4, 6)), None),
-    (sp.eye(6), 2.0 * _diff_op(6), None),
-    (sp.eye(6), sp.diags([-1.0, 1.0], [0, 2], shape=(4, 6)), None),
-    (sp.eye(6), sp.vstack([_diff_op(6), _diff_op(6).tocsr()[:1]]), None),
-    (sp.eye(6), _diff_op(6), np.arange(6) < 3),
-])
-def test_trend_rejects_what_the_prox_cannot_solve(h, d_op, nonneg):
-    """Only a positive multiple of I, single first-difference rows and an
-    all-or-nothing sign constraint reduce to the 1-D TV prox."""
-    prog = QuadraticProgram(h=h, f=np.arange(6.0), nonneg=nonneg)
-    with pytest.raises(ValueError):
-        solve_l1_trend_qp(prog, d_op, lam=1.0)
+    assert np.max(np.abs(x - expected)) <= 1e-9
+    assert abs(rep.notes["total_variation"] - tv) <= 1e-9
 
 
 def test_trend_negative_lambda_rejected():
-    prog = QuadraticProgram(h=sp.eye(3), f=np.zeros(3))
     with pytest.raises(ValueError):
-        solve_l1_trend_qp(prog, _diff_op(3), lam=-1.0)
+        solve_l1_trend_qp(np.zeros(3), -1.0, ONE)
 
 
 # --- positive-definiteness gate --------------------------------------------
