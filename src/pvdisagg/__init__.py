@@ -19,7 +19,7 @@ from .solar import (PlaneBank, PlaneConfig, SiteConfig,  # noqa: F401
                     TemperatureModel, build_bank, clearsky_ghi,
                     decompose_ghi, default_bank, sun_position,
                     temperature_correct, transpose_hay_davies)
-from .dsp import BandpassFilter, apply, design_bandpass  # noqa: F401
+from .dsp import BandpassFilter, design_bandpass  # noqa: F401
 from .methods import (CapacityVector, DisaggregationResult,  # noqa: F401
                       MethodParams, disaggregate, fit, fit_method_a,
                       fit_method_b, fit_method_c, fit_method_d,

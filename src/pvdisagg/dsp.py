@@ -2,8 +2,14 @@
 
 The design is an order-3 analog Butterworth prototype taken through the
 band transformation and bilinear transform (three second-order sections =
-order six overall), applied forward-backward by default so the pass band
-keeps zero phase.
+order six overall), applied forward-backward so the pass band keeps zero
+phase.
+
+scipy.signal is imported inside the functions that call it, not at module
+level: loading it took most of the package's import time and memory, and
+only method D's fit (the ``fit`` and ``sweep`` commands) filters anything.
+``methods.fit`` loads it before starting its clock, so the time a D fit
+reports is the fit alone, as when scipy loaded with the package.
 """
 
 from __future__ import annotations
@@ -11,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .errors import DesignError, TooShortError
-from .timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -25,11 +29,11 @@ class BandpassFilter:
     f_high: float
     sample_rate: float
     sos: np.ndarray
-    zero_phase: bool = True
 
     @property
     def settling_samples(self) -> int:
         """Slowest-pole time constant, in samples (used for edge padding)."""
+        from scipy import signal
         _, poles, _ = signal.sos2zpk(self.sos)
         worst = float(np.max(np.abs(poles)))
         if worst >= 1.0:  # pragma: no cover - design() already rejects
@@ -40,6 +44,7 @@ class BandpassFilter:
 def design_bandpass(f_low: float, f_high: float,
                     sample_rate: float) -> BandpassFilter:
     """Design the order-6 band-pass; cutoffs are the -3 dB points."""
+    from scipy import signal
     if not (0.0 < f_low < f_high < sample_rate / 2.0):
         raise DesignError(
             f"need 0 < f_low < f_high < rate/2, got "
@@ -57,30 +62,21 @@ def design_bandpass(f_low: float, f_high: float,
 
 def frequency_response(filt: BandpassFilter, freqs) -> np.ndarray:
     """Complex response of one forward pass at the given frequencies (Hz)."""
+    from scipy import signal
     _, h = signal.sosfreqz(filt.sos, worN=np.atleast_1d(freqs),
                            fs=filt.sample_rate)
     return h
 
 
 def apply_array(filt: BandpassFilter, values: np.ndarray) -> np.ndarray:
-    """Filter a raw contiguous array sampled at the filter's rate."""
+    """Filter a contiguous array sampled at the filter's rate, forward and
+    backward, with odd padding of three settling times at each edge."""
+    from scipy import signal
     values = np.asarray(values, dtype=float)
-    if filt.zero_phase:
-        padlen = 3 * filt.settling_samples
-        if values.size <= padlen:
-            raise TooShortError(
-                f"series of {values.size} samples cannot carry the "
-                f"forward-backward edge padding ({padlen} samples)")
-        return signal.sosfiltfilt(filt.sos, values, padtype="odd",
-                                  padlen=padlen)
-    return signal.sosfilt(filt.sos, values)
-
-
-def apply(filt: BandpassFilter, s: TimeSeries) -> TimeSeries:
-    """Filter a TimeSeries; the output keeps the input grid and unit."""
-    rate = 1.0 / s.period
-    if abs(rate - filt.sample_rate) > 1e-9 * filt.sample_rate:
-        raise DesignError(
-            f"series at {rate:g} Hz does not match the filter design rate "
-            f"{filt.sample_rate:g} Hz")
-    return s.with_values(apply_array(filt, s.values))
+    padlen = 3 * filt.settling_samples
+    if values.size <= padlen:
+        raise TooShortError(
+            f"series of {values.size} samples cannot carry the "
+            f"forward-backward edge padding ({padlen} samples)")
+    return signal.sosfiltfilt(filt.sos, values, padtype="odd",
+                              padlen=padlen)

@@ -72,6 +72,16 @@ def config_number(value, key: str, integer: bool = False):
     return int(number) if integer else number
 
 
+def config_mappings(value, key: str) -> list:
+    """A config list of mappings (as YAML reads ``- {tilt: 30}`` items);
+    anything else raises InputError naming the key."""
+    if (not isinstance(value, (list, tuple))
+            or not all(isinstance(entry, dict) for entry in value)):
+        raise InputError(
+            f"{key}: expected a list of mappings, got {value!r}")
+    return value
+
+
 # --- solver errors --------------------------------------------------------
 
 class SolverError(DisaggError):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import config_number
+from .errors import config_mappings, config_number
 from .methods import MethodParams, fit, predict_generation
 from .solar import (PlaneBank, PlaneConfig, SiteConfig, build_bank,
                     clearsky_ghi, default_bank, sun_position)
@@ -157,7 +157,7 @@ class ScenarioSpec:
         if "plant" in d:
             d["plant"] = tuple({k: config_number(p[k], f"plant {k}")
                                 for k in ("tilt", "azimuth", "kwp")}
-                               for p in d["plant"])
+                               for p in config_mappings(d["plant"], "plant"))
         if d.get("cloud_kinds") is not None:
             d["cloud_kinds"] = tuple(d["cloud_kinds"])
         spec = cls(**d)

@@ -20,6 +20,7 @@ from the generation signature:
 
 from __future__ import annotations
 
+import importlib
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -402,6 +403,11 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     Returns (CapacityVector, demand TimeSeries or None, wall seconds).
     """
     params.validate()
+    # the solvers import scipy when first called; loading it here keeps
+    # the reported seconds the fit alone (only D filters, with scipy.signal)
+    importlib.import_module("scipy.optimize")
+    if params.method == "D":
+        importlib.import_module("scipy.signal")
     t0 = time.perf_counter()
     l_hat = None
     if params.method == "A":

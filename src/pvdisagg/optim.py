@@ -13,6 +13,12 @@ on the sizes it is given:
   solve_lp           HiGHS through scipy.optimize.linprog, returning the
                      row duals and a recomputed duality gap;
   irls_bisquare      majorize-minimize robust regression on nnls.
+
+scipy.optimize, scipy.linalg and scipy.sparse are imported inside the
+functions that call them, so that importing the package (and every CLI
+command but ``fit`` and ``sweep``) does not load them.  ``methods.fit``
+loads scipy.optimize, which pulls in the other two, before it starts its
+clock, so a fit's reported time stays the solve alone.
 """
 
 from __future__ import annotations
@@ -21,10 +27,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg import eigh as dense_eigh
-from scipy.optimize import linprog, lsq_linear, nnls
 
 from .errors import (
     DegenerateWeightsError,
@@ -133,6 +135,7 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     unbounded problems raise; any other non-optimal status returns the
     best available point with converged=False.
     """
+    from scipy.optimize import linprog
     n = prog.c.size
     lb = prog.lb if prog.lb is not None else np.full(n, -np.inf)
     ub = prog.ub if prog.ub is not None else np.full(n, np.inf)
@@ -182,7 +185,8 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
 
 def _dense_symmetric(h) -> np.ndarray:
     """H as a dense float array; ValueError unless it is symmetric."""
-    h = np.asarray(h.toarray() if sp.issparse(h) else h, dtype=float)
+    from scipy.sparse import issparse
+    h = np.asarray(h.toarray() if issparse(h) else h, dtype=float)
     if np.max(np.abs(h - h.T)) > 1e-8 * (np.max(np.abs(h)) + 1.0):
         raise ValueError("H must be symmetric")
     return h
@@ -195,10 +199,11 @@ def psd_check_and_regularize(h, beta_reg: float):
     matrix certifies positive definiteness; min_eig is its exact smallest
     eigenvalue.  A sparse H is densified first.
     """
+    from scipy.linalg import eigh
     h = _dense_symmetric(h)
     h_reg = h + beta_reg * np.eye(h.shape[0])
-    min_eig = float(dense_eigh(h_reg, eigvals_only=True,
-                               subset_by_index=[0, 0])[0])
+    min_eig = float(eigh(h_reg, eigvals_only=True,
+                         subset_by_index=[0, 0])[0])
     try:
         np.linalg.cholesky(h_reg)
         is_pd = True
@@ -221,6 +226,8 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
     bound violation and the complementarity gap x[nonneg]'(Hx - f)[nonneg].
     Raises NotConvexError when the ridged matrix has no Cholesky factor.
     """
+    from scipy.linalg import cholesky, solve_triangular
+    from scipy.optimize import lsq_linear, nnls
     t0 = time.perf_counter()
     h = _dense_symmetric(prog.h)
     n = prog.f.size
@@ -375,6 +382,7 @@ def _bisquare_rho(r: np.ndarray, width: float) -> np.ndarray:
 
 
 def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, nonneg: bool):
+    from scipy.optimize import nnls
     sw = np.sqrt(w)
     xw = x_mat * sw[:, None]
     yw = y * sw

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import config_number
+from .errors import config_mappings, config_number
 from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
@@ -385,7 +385,7 @@ def site_from_config(cfg: dict):
     if "planes" in cfg and cfg["planes"] is not None:
         planes = [PlaneConfig(number("tilt", entry=p),
                               number("azimuth", entry=p))
-                  for p in cfg["planes"]]
+                  for p in config_mappings(cfg["planes"], "planes")]
     else:
         planes = default_bank()
     model = TemperatureModel(beta=number("beta", 3.78e-2),

@@ -123,16 +123,11 @@ def _parse_epoch(text: str, line_no: int) -> int:
     return int(round(epoch))
 
 
-def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSeries:
-    """Read a two-column (timestamp, value) CSV into a repaired TimeSeries.
+def _read_rows(path):
+    """(epoch seconds, values) of every data row, parsed row by row.
 
-    Lines starting with '#' are provenance comments and skipped; a single
-    non-numeric header row is tolerated.  Timestamps are ISO-8601 (UTC
-    assumed when no offset is given) and must lie on one uniform grid —
-    skipped grid points and blank values count as gaps.  Gaps up to
-    ``max_missing_fraction`` (default 5%) of the grid are filled by linear
-    interpolation and counted in ``repaired``; more than that raises
-    TooSparseError.
+    Accepts any CSV that ingest_csv documents and raises FormatError with
+    the line number of the first row it cannot read.
     """
     times: list[int] = []
     vals: list[float] = []
@@ -164,10 +159,94 @@ def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSerie
                 except ValueError:
                     raise FormatError(
                         f"bad value {val_text!r}", line_no) from None
+    return np.asarray(times, dtype=np.int64), np.asarray(vals, dtype=float)
 
-    if len(times) < 2:
+
+# write_table's time-stamp field: the digit positions hold '0' here
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP == ord("0")
+
+
+def _read_table(path):
+    """(epoch seconds, values) of a file in write_table's layout, or None.
+
+    The layout is: '#' comment lines, a header line starting with
+    "timestamp,", then rows of "YYYY-MM-DDTHH:MM:SSZ," and one or more
+    value fields, in ASCII with LF line endings and no quotes.  The time
+    stamps are read as one byte array and checked against the calendar;
+    the second column goes through one float() pass.  Any departure from
+    the layout returns None, so that _read_rows reads the file and its
+    results and errors are those of the general parser.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or any(ch in data for ch in (b'"', b"\r", b"\0")):
+        return None
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    head = 0
+    while head < len(lines) and lines[head].startswith(b"#"):
+        head += 1
+    if head == len(lines) or not lines[head].startswith(b"timestamp,"):
+        return None
+    rows = lines[head + 1:]
+    raw = np.frombuffer(b"".join([row[:_STAMP.size] for row in rows]),
+                        dtype=np.uint8)
+    if raw.size != _STAMP.size * len(rows):
+        return None
+    raw = raw.reshape(len(rows), _STAMP.size)
+    # uint8 arithmetic: any byte but '0'-'9' lands above 9
+    digits = raw[:, _STAMP_DIGITS] - np.uint8(ord("0"))
+    if (np.any(raw[:, ~_STAMP_DIGITS] != _STAMP[~_STAMP_DIGITS])
+            or np.any(digits > 9)):
+        return None
+
+    def number(first, stop):  # the decimal number in digits first..stop-1
+        out = np.zeros(len(rows), dtype=np.int64)
+        for i in range(first, stop):
+            out = out * 10 + digits[:, i]
+        return out
+
+    year, month, day, hour, minute, second = (
+        number(first, stop) for first, stop in
+        ((0, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14)))
+    # day numbers (since 1970-01-01) of the first of each row's month and of
+    # the next month, in numpy's proleptic Gregorian calendar, as datetime's
+    months = (year - 1970) * 12 + (month - 1)
+    first, following = (
+        (months + i).astype("datetime64[M]").astype("datetime64[D]")
+        .astype(np.int64) for i in (0, 1))
+    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+                  & (day <= following - first) & (hour <= 23)
+                  & (minute <= 59) & (second <= 59)):
+        return None
+    times = ((first + day - 1) * SECONDS_PER_DAY + hour * 3600 + minute * 60
+             + second)
+    try:
+        vals = np.array([float(row.split(b",", 2)[1]) for row in rows])
+    except ValueError:
+        return None
+    return times, vals
+
+
+def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSeries:
+    """Read a (timestamp, value, ...) CSV into a repaired TimeSeries.
+
+    Lines starting with '#' are provenance comments and skipped; a single
+    non-numeric header row is tolerated.  Timestamps are ISO-8601 (UTC
+    assumed when no offset is given) and must lie on one uniform grid —
+    skipped grid points and blank values count as gaps.  The second column
+    is the value and any further columns are ignored.  Gaps up to
+    ``max_missing_fraction`` (default 5%) of the grid are filled by linear
+    interpolation and counted in ``repaired``; more than that raises
+    TooSparseError.  Files in write_table's own layout are read in bulk,
+    any other by the row-by-row parser, with the same results.
+    """
+    parsed = _read_table(path)
+    t, vals = parsed if parsed is not None else _read_rows(path)
+    if len(t) < 2:
         raise GridError("need at least two samples to establish a grid")
-    t = np.asarray(times, dtype=np.int64)
     diffs = np.diff(t)
     if np.any(diffs <= 0):
         raise GridError("timestamps must be strictly increasing")
@@ -295,7 +374,3 @@ def make_folds(n_days: int, seed: int, n_folds: int = 3) -> DailyFoldPlan:
         pos += size
     return DailyFoldPlan(n_days=n_days, seed=seed, folds=tuple(folds))
 
-
-def day_matrix(series: TimeSeries) -> np.ndarray:
-    """Values reshaped to (n_days, samples_per_day)."""
-    return series.values.reshape(series.n_days, series.samples_per_day)

@@ -2,11 +2,16 @@
 metrics, plus the sweep modes, flag validation, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import pvdisagg
 from pvdisagg.cli import main
 from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
@@ -392,11 +397,24 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
                "methods": [{"method": "C", "c": 2.5}],
                "resolutions_s": [900]},
      2, "c: expected an integer"),  # refused, never truncated
+    ("transpose", {"latitude": 47.5, "longitude": 7.5,
+                   "planes": [[10, 180]]}, 2, "planes: expected a list"),
+    ("transpose", {"latitude": 47.5, "longitude": 7.5,
+                   "planes": {"tilt": 10, "azimuth": 180}},
+     2, "planes: expected a list"),
+    ("synth", {"days": 3, "period_s": 300, "plant": [[10, 180, 5]]},
+     2, "plant: expected a list"),
+    ("synth", {"days": 3, "period_s": 300, "plant": 5},
+     2, "plant: expected a list"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300,
+                            "plant": ["south"]},
+               "methods": [{"method": "A"}]}, 2, "plant: expected a list"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):
-    """A YAML value of the wrong type is converted where it is read, or
-    refused with exit 2 naming its key, never a traceback."""
+    """A YAML value of the wrong type, or a planes or plant list whose
+    entries are not mappings, is converted where it is read, or refused
+    with exit 2 naming its key, never a traceback."""
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(config))
     flag = {"sweep": "--config", "synth": "--scenario",
@@ -405,9 +423,60 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
              if command == "transpose" else ["--out-dir", str(tmp_path)])
     assert main([command, flag, str(path), *extra]) == code
     assert message in capsys.readouterr().err
-    if command == "synth":
+    if code == 0:
         doc = json.loads((tmp_path / "scenario.json").read_text())
         assert doc["scenario"]["days"] == 3
+
+
+# ---------------------------------------------------------------------------
+# which modules each command loads
+
+_SOLVER_MODULES = ("scipy.signal", "scipy.optimize", "scipy.linalg",
+                   "scipy.sparse")
+
+_IMPORT_PROBE = """
+import json, sys
+before = set(sys.modules)
+import pvdisagg
+new = {name.split(".")[0] for name in set(sys.modules) - before}
+seen = {"import pvdisagg": sorted(new - set(sys.stdlib_module_names))}
+import pvdisagg.cli
+solvers = %r
+seen["import pvdisagg.cli"] = [m for m in solvers if m in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    assert pvdisagg.cli.main(argv) == 0, argv
+    seen[argv[0]] = [m for m in solvers if m in sys.modules]
+print(json.dumps(seen))
+""" % (_SOLVER_MODULES,)
+
+
+def test_only_fit_loads_scipy(pipeline, tmp_path):
+    """transpose, disaggregate and metrics run without scipy's solver
+    modules; a D fit loads scipy.signal; the package needs only numpy."""
+    data, site = pipeline["data"], str(pipeline["site"])
+    series = [f"--ghi={data / 'ghi.csv'}", f"--t-air={data / 't_air.csv'}"]
+    argvs = [
+        ["transpose", "--site", site, *series, "--out", str(tmp_path / "b")],
+        ["disaggregate", "--model", str(pipeline["model"]), "--site", site,
+         *series, f"--p={data / 'p.csv'}", "--out", str(tmp_path / "e")],
+        ["metrics", f"--g-true={data / 'g_true.csv'}",
+         f"--g-hat={tmp_path / 'e'}", "--capacity-kwp", "35.3",
+         "--out", str(tmp_path / "m")],
+        ["fit", "--site", site, *series, f"--p={data / 'p.csv'}",
+         "--method", "D", "--f-low-s", "7200", "--f-high-s", "600",
+         "--out-model", str(tmp_path / "d")],
+    ]
+    src = str(Path(pvdisagg.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("import pvdisagg") == ["numpy", "pvdisagg"]
+    assert "scipy.signal" in seen.pop("fit")
+    assert seen == {"import pvdisagg.cli": [], "transpose": [],
+                    "disaggregate": [], "metrics": []}
 
 
 # ---------------------------------------------------------------------------

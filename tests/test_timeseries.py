@@ -1,12 +1,18 @@
+import math
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pvdisagg import timeseries
 from pvdisagg.errors import (FoldError, FormatError, GridError,
                              ResampleError, TooSparseError)
 from pvdisagg.timeseries import (SECONDS_PER_DAY, UNIT_KW, UNIT_W_PER_M2,
-                                 TimeSeries, check_aligned, day_matrix,
-                                 ingest_csv, make_folds, mask_night,
-                                 resample_average, write_csv)
+                                 TimeSeries, check_aligned, ingest_csv,
+                                 make_folds, mask_night, resample_average,
+                                 write_csv, write_table)
 
 from conftest import START, make_series
 
@@ -18,7 +24,6 @@ def _write(tmp_path, rows, name="in.csv"):
 
 
 def _epoch_rows(epochs, values):
-    from datetime import datetime, timezone
     out = []
     for t, v in zip(epochs, values):
         iso = datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
@@ -113,6 +118,145 @@ def test_csv_format(tmp_path):
     lines = raw.decode().splitlines()
     assert lines[0] == "timestamp,value"
     assert lines[1].startswith("2023-06-01T00:00:00Z,")
+
+
+# --- bulk reading of write_table's layout ---------------------------------
+
+def _epoch(*date):
+    return int(datetime(*date, tzinfo=timezone.utc).timestamp())
+
+
+# starts near month, year and leap-day boundaries (1900 and 2100 are not
+# leap years, 1600 and 2000 are), and before 1970
+_BOUNDARIES = [_epoch(*d) for d in (
+    (1, 1, 1), (1600, 2, 29), (1900, 3, 1), (1969, 12, 31), (1970, 1, 1),
+    (2000, 2, 29), (2023, 3, 1), (2023, 12, 31), (2024, 2, 29),
+    (2024, 3, 1), (2100, 2, 28), (2100, 3, 1), (9999, 12, 30))]
+_DAY_DIVISORS = [d for d in range(1, SECONDS_PER_DAY + 1)
+                 if SECONDS_PER_DAY % d == 0]
+_ODD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e300,
+               math.inf, -math.inf, math.nan]
+_VALUES = st.one_of(st.floats(), st.sampled_from(_ODD_VALUES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(boundary=st.sampled_from(_BOUNDARIES),
+       offset=st.integers(-2 * SECONDS_PER_DAY, SECONDS_PER_DAY),
+       period=st.sampled_from(_DAY_DIVISORS), n_rows=st.integers(1, 30),
+       n_cols=st.integers(1, 3), data=st.data())
+def test_bulk_reader_matches_the_row_parser(tmp_path_factory, boundary,
+                                            offset, period, n_rows, n_cols,
+                                            data):
+    """Every file write_table writes is read in bulk, and bit for bit as
+    the row-by-row parser reads it: epoch seconds and second column."""
+    start = max(boundary + offset, _BOUNDARIES[0])
+    stamps = start + period * np.arange(n_rows)
+    stamps = stamps[stamps <= _BOUNDARIES[-1] + 2 * SECONDS_PER_DAY - 1]
+    columns = np.array(data.draw(st.lists(
+        _VALUES, min_size=n_cols * len(stamps),
+        max_size=n_cols * len(stamps)))).reshape(n_cols, len(stamps))
+    path = tmp_path_factory.mktemp("bulk") / "t.csv"
+    write_table(path, stamps, columns,
+                "timestamp," + ",".join(f"c{i}" for i in range(n_cols)),
+                comments=["provenance", "second comment"])
+    bulk = timeseries._read_table(path)
+    assert bulk is not None
+    rows = timeseries._read_rows(path)
+    assert bulk[0].dtype == rows[0].dtype == np.int64
+    assert np.array_equal(bulk[0], rows[0])
+    assert np.array_equal(bulk[0], stamps)
+    assert bulk[1].tobytes() == rows[1].tobytes()
+    # repr drops a NaN's sign and payload; every other value is exact
+    written = np.where(np.isnan(columns[0]), np.nan, columns[0])
+    assert bulk[1].tobytes() == written.tobytes()
+
+
+_NEAR_START = _epoch(2023, 2, 28, 23, 57)  # six rows at 60 s over Mar 1
+
+
+def _near_miss_lines():
+    s = make_series([1.5, -2.0, 3.25, 0.0, 4.5, 6.0], period=60,
+                    start=_NEAR_START)
+    return s, ["# provenance", "timestamp,value"] + [
+        f"{datetime.fromtimestamp(t, timezone.utc):%Y-%m-%dT%H:%M:%S}Z,{v!r}"
+        for t, v in zip(s.timestamps().tolist(), s.values.tolist())]
+
+
+def _text(lines, ending="\n"):
+    return ending.join(lines) + ending
+
+
+def _replace(row, old, new):
+    def edit(lines):
+        assert old in lines[row]
+        return _text(lines[:row] + [lines[row].replace(old, new)]
+                     + lines[row + 1:])
+    return edit
+
+
+def _insert(row, line):
+    return lambda lines: _text(lines[:row] + [line] + lines[row:])
+
+
+def _delete(row):
+    return lambda lines: _text(lines[:row] + lines[row + 1:])
+
+
+# edits of the six-row file; its lines 3-8 hold 23:57 to 00:02
+_NEAR_MISSES = {
+    "as_written": _text,
+    "crlf": lambda lines: _text(lines, "\r\n"),
+    "blank_value": _replace(4, ",3.25", ","),
+    "na_value": _replace(4, ",3.25", ",na"),
+    "text_value": _replace(4, ",3.25", ",three"),
+    "mid_file_comment": _insert(4, "# a note"),
+    "blank_line": _insert(4, ""),
+    "second_header": _insert(4, "timestamp,value"),
+    "offset": _replace(4, "Z,", "+00:00,"),
+    "lower_z": _replace(4, "Z,", "z,"),
+    "space_separator": _replace(4, "T", " "),
+    "quoted_stamp": _replace(4, "2023-02-28T23:59:00Z",
+                             '"2023-02-28T23:59:00Z"'),
+    "feb_29_2023": _replace(5, "2023-03-01", "2023-02-29"),
+    "hour_24": _replace(5, "2023-03-01T00:00:00", "2023-02-28T24:00:00"),
+    "minute_60": _replace(5, "2023-03-01T00:00:00", "2023-02-28T23:60:00"),
+    "skipped_row": _delete(4),
+    "duplicate_stamp": _insert(4, "2023-02-28T23:59:00Z,3.25"),
+    "no_header": _delete(1),
+    "third_column": _replace(4, ",3.25", ",3.25,99.0"),
+}
+
+
+def _outcome(path):
+    try:
+        s = ingest_csv(path, UNIT_KW, max_missing_fraction=0.5)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return s.start_epoch, s.period, s.values.tobytes(), s.repaired
+
+
+@pytest.mark.parametrize("case", list(_NEAR_MISSES))
+def test_near_misses_read_as_the_row_parser_reads_them(tmp_path,
+                                                       monkeypatch, case):
+    """A file that departs from write_table's layout gives the same series,
+    or the same error, message and line number, as the row parser."""
+    series, lines = _near_miss_lines()
+    path = tmp_path / "near.csv"
+    path.write_bytes(_NEAR_MISSES[case](lines).encode())
+    got = _outcome(path)
+    monkeypatch.setattr(timeseries, "_read_table", lambda path: None)
+    assert got == _outcome(path)
+    if case in ("as_written", "crlf", "offset", "quoted_stamp"):
+        assert got == (series.start_epoch, 60, series.values.tobytes(), 0)
+
+
+def test_tool_output_is_read_in_bulk(tmp_path):
+    s = make_series([1.0, 2.0, 3.0], period=10)
+    write_csv(s, tmp_path / "s.csv", comments=["provenance"])
+    times, values = timeseries._read_table(tmp_path / "s.csv")
+    assert np.array_equal(times, s.timestamps())
+    assert np.array_equal(values, s.values)
 
 
 # --- resampling ------------------------------------------------------------
@@ -236,10 +380,3 @@ def test_check_aligned_raises_on_grid_mismatch():
     b = make_series([1, 2, 3], period=30)
     with pytest.raises(AlignmentError):
         check_aligned(a, b)
-
-
-def test_day_matrix_shape():
-    s = make_series(np.arange(2 * 8640, dtype=float), period=10)
-    m = day_matrix(s)
-    assert m.shape == (2, 8640)
-    assert m[1, 0] == 8640.0
