@@ -155,7 +155,7 @@ class ScenarioSpec:
             if f.name in d and f.type in ("float", "int"):
                 d[f.name] = config_number(d[f.name], f.name, f.type == "int")
         if "plant" in d:
-            d["plant"] = tuple({k: config_number(p[k], f"plant {k}")
+            d["plant"] = tuple({k: config_number(p.get(k), f"plant {k}")
                                 for k in ("tilt", "azimuth", "kwp")}
                                for p in config_mappings(d["plant"], "plant"))
         if d.get("cloud_kinds") is not None:

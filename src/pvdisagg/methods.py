@@ -360,25 +360,34 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
     Filtering runs independently on each contiguous segment (so day
     boundaries never leak through the filter); the mask is applied to the
     filtered samples afterwards.  In the pass band the demand is
-    attenuated away and P ~ -G, hence the design matrix -I_filtered/1000.
+    attenuated away and P ~ -G, hence the design matrix -I_filtered/1000;
+    the robust regression works on its J x J weighted Gram
+    (optim.irls_bisquare).
     """
     _check_bank(p, bank)
     k, j = len(p), bank.n_planes
     filt = dsp.design_bandpass(f_low, f_high, 1.0 / p.period)
 
+    seg_starts = _segment_starts(k, segment_length)
+    length = seg_starts[1] if seg_starts.size > 1 else k
+    body = k - k % length  # samples in full-length segments
     y = np.empty(k)
     x_mat = np.empty((k, j))
-    seg_starts = _segment_starts(k, segment_length)
-    for a, b in zip(seg_starts, np.append(seg_starts[1:], k)):
-        y[a:b] = dsp.apply_array(filt, p.values[a:b])
-        for jj in range(j):
-            x_mat[a:b, jj] = dsp.apply_array(filt, bank.irradiance[jj, a:b])
+    # one call per column filters all its full-length segments as rows,
+    # and a shorter tail segment gets a call of its own
+    for out, series in [(y, p.values),
+                        *((x_mat[:, jj], bank.irradiance[jj])
+                          for jj in range(j))]:
+        out[:body] = dsp.apply_array(
+            filt, series[:body].reshape(-1, length)).ravel()
+        if body < k:
+            out[body:] = dsp.apply_array(filt, series[body:])
     x_mat *= -KW_PER_WM2
     # a band that excludes all bank energy leaves only filter ring-down in
     # the design matrix; regressing on that would return noise dressed up
     # as capacity, so refuse instead
     bank_scale = float(np.max(bank.irradiance, initial=0.0)) * KW_PER_WM2
-    if np.max(np.abs(x_mat), initial=0.0) <= 1e-8 * max(bank_scale, 1e-12):
+    if max(x_mat.max(), -x_mat.min()) <= 1e-8 * max(bank_scale, 1e-12):
         raise DegenerateWeightsError(
             "pass band contains no irradiance signal (filtered bank is "
             "numerically zero); widen [f_low, f_high]")
@@ -388,7 +397,7 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
             raise ValueError("not enough usable samples for the fit")
         y = y[keep]
         x_mat = x_mat[keep]
-    alpha, report = irls_bisquare(x_mat, y, tuning=tuning, nonneg=True)
+    alpha, report = irls_bisquare(x_mat, y, tuning=tuning)
     return CapacityVector(_clip_alpha(alpha), bank.geometry_hash, report)
 
 

@@ -409,6 +409,9 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
     ("sweep", {"scenario": {"days": 3, "period_s": 300,
                             "plant": ["south"]},
                "methods": [{"method": "A"}]}, 2, "plant: expected a list"),
+    ("synth", {"days": 3, "period_s": 300,
+               "plant": [{"tilt": 10, "azimuth": 180}]},
+     2, "plant kwp: expected a number, got None"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):

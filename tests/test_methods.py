@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, lsq_linear, nnls
 
+from pvdisagg import dsp, methods
 from pvdisagg.errors import (AlignmentError, BankMismatchError,
                              DegenerateWeightsError)
 from pvdisagg.evaluation import ScenarioSpec, generate_scenario
 from pvdisagg.methods import (CapacityVector, MethodParams, disaggregate,
                               fit, fit_method_a, fit_method_b, fit_method_c,
                               fit_method_d, predict_generation)
-from pvdisagg.optim import solve_l1_trend_qp
+from pvdisagg.optim import SolverReport, solve_l1_trend_qp
 from pvdisagg.solar import PlaneBank, PlaneConfig
 from pvdisagg.timeseries import (UNIT_KW, TimeSeries, make_folds,
                                  resample_average)
@@ -354,6 +355,33 @@ def test_method_d_filters_each_segment_on_its_own():
                           segment_length=kd).alpha
              for p, b in ((p_vals, bank), (p_vals[swap], swapped))]
     assert np.max(np.abs(alpha[0] - alpha[1])) <= 1e-9
+
+
+def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
+    """D filters a column's full-length segments as the rows of one call
+    and a shorter tail segment on its own; every segment comes out bit for
+    bit as filtering it alone would give."""
+    k, length = 2 * 2880 + 1500, 2880
+    bank = textured_bank(k, 30)
+    p_vals = (np.random.default_rng(22).normal(5.0, 1.0, k)
+              - 1.2 * bank.irradiance[0] / 1000.0)
+    seen = {}
+
+    def capture(x_mat, y, **_):
+        seen.update(x=x_mat.copy(), y=y.copy())
+        return np.zeros(x_mat.shape[1]), SolverReport()
+
+    monkeypatch.setattr(methods, "irls_bisquare", capture)
+    fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120,
+                 segment_length=length)
+    filt = dsp.design_bandpass(1 / 600, 1 / 120, 1 / 30)
+    for a, b in ((0, length), (length, 2 * length), (2 * length, k)):
+        assert np.array_equal(seen["y"][a:b],
+                              dsp.apply_array(filt, p_vals[a:b]))
+        for jj in range(bank.n_planes):
+            ref = dsp.apply_array(filt, bank.irradiance[jj, a:b])
+            assert np.array_equal(seen["x"][a:b, jj],
+                                  ref * -methods.KW_PER_WM2)
 
 
 def test_method_d_refuses_empty_band():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +8,9 @@ from scipy.optimize import lsq_linear, nnls
 
 from pvdisagg.errors import (DegenerateWeightsError, InfeasibleError,
                              NotConvexError, UnboundedError)
-from pvdisagg.optim import (LinearProgram, QuadraticProgram, irls_bisquare,
-                            psd_check_and_regularize, solve_l1_trend_qp,
-                            solve_lp, solve_qp)
+from pvdisagg.optim import (LinearProgram, QuadraticProgram, _wls,
+                            irls_bisquare, psd_check_and_regularize,
+                            solve_l1_trend_qp, solve_lp, solve_qp)
 
 
 # --- linear programs -------------------------------------------------------
@@ -378,6 +379,61 @@ def test_psd_rejects_asymmetric():
 
 
 # --- robust regression -----------------------------------------------------
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 60),
+       j=st.integers(1, 6),
+       case=st.sampled_from(["plain", "duplicate", "dead"]))
+def test_weighted_nnls_on_the_gram_matches_the_tall_oracle(seed, k, j, case):
+    """The weighted NNLS solved on the J x J Gram reaches the objective of
+    nnls on the tall sqrt(w)-scaled rows, and its answer passes the tall
+    problem's KKT check.  A duplicated column, or one that is zero on every
+    positive-weight row, makes the Gram singular (no Cholesky root)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((k, j + 1))
+    w = rng.uniform(0.0, 2.0, k) * (rng.random(k) < 0.8)
+    if case == "duplicate":
+        x[:, -1] = x[:, 0]
+    elif case == "dead":
+        x[w > 0, -1] = 0.0
+    y = x @ rng.uniform(-1.0, 2.0, j + 1) + 0.3 * rng.standard_normal(k)
+    inv = rng.uniform(0.5, 2.0, j + 1)
+
+    a, gram, b = _wls(x, y, w, inv)
+
+    sw = np.sqrt(w)
+    xs, ys = x * inv * sw[:, None], y * sw
+    ref, _ = nnls(xs, ys)
+
+    def objective(v):
+        r = xs @ v - ys
+        return float(r @ r)
+
+    assert np.all(a >= 0.0)
+    assert abs(objective(a) - objective(ref)) <= 1e-10 * (1.0 + objective(ref))
+    grad = xs.T @ (xs @ a - ys)
+    size = np.abs(xs).T @ (np.abs(xs) @ a + np.abs(ys))
+    assert (np.max(np.abs(a - np.clip(a - grad, 0.0, None)))
+            <= 1e-10 * (1.0 + np.max(size)))
+    assert np.allclose(gram @ a - b, grad, rtol=0.0,
+                       atol=1e-10 * (1.0 + np.max(size)))
+
+
+def test_irls_reports_the_kkt_residual_of_its_last_nnls(monkeypatch):
+    """dual_residual is the projected gradient of the last weighted NNLS,
+    worked out from its Gram, so an inexact inner solve shows in it."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 1.0, size=(120, 3))
+    y = x @ np.array([1.0, 2.0, 0.5])
+    _, rep = irls_bisquare(x, y)
+    assert rep.converged and rep.dual_residual <= 1e-12
+
+    exact = scipy.optimize.nnls
+    monkeypatch.setattr(scipy.optimize, "nnls",
+                        lambda a, b: (exact(a, b)[0] + 1e-4, 0.0))
+    _, rep = irls_bisquare(x, y)
+    assert rep.dual_residual >= 1e-6
+
 
 def test_irls_exact_data_one_pass():
     rng = np.random.default_rng(12)
