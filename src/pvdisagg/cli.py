@@ -141,6 +141,8 @@ def _method_params_from_args(args, period: int) -> MethodParams:
 
 
 def cmd_fit(args) -> int:
+    if args.period_s is not None and args.period_s <= 0:
+        raise InputError(f"--period-s must be positive, got {args.period_s}")
     site_cfg = _load_yaml(args.site)
     site, planes, model = site_from_config(site_cfg)
     ghi = ingest_csv(args.ghi, UNIT_W_PER_M2)
@@ -148,7 +150,7 @@ def cmd_fit(args) -> int:
     p = ingest_csv(args.p, UNIT_KW)
     bank = build_bank(ghi, t_air, site, planes, model)
 
-    period = args.period_s or p.period
+    period = p.period if args.period_s is None else args.period_s
     if period != p.period:
         p = resample_average(p, period)
         ghi = resample_average(ghi, period)

@@ -371,32 +371,37 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
     seg_starts = _segment_starts(k, segment_length)
     length = seg_starts[1] if seg_starts.size > 1 else k
     body = k - k % length  # samples in full-length segments
-    y = np.empty(k)
-    x_mat = np.empty((k, j))
-    # one call per column filters all its full-length segments as rows,
-    # and a shorter tail segment gets a call of its own
-    for out, series in [(y, p.values),
-                        *((x_mat[:, jj], bank.irradiance[jj])
-                          for jj in range(j))]:
+
+    def filtered(series):
+        # one call filters all full-length segments as rows, and a
+        # shorter tail segment gets a call of its own
+        out = np.empty(k)
         out[:body] = dsp.apply_array(
             filt, series[:body].reshape(-1, length)).ravel()
         if body < k:
             out[body:] = dsp.apply_array(filt, series[body:])
+        return out
+
+    # only the kept rows of the design are stored, one column at a time
+    keep = np.arange(k) if mask is None else np.flatnonzero(mask)
+    y = filtered(p.values)[keep]
+    x_mat = np.empty((keep.size, j))
+    peak = 0.0  # largest |filtered irradiance| over every sample
+    for jj in range(j):
+        col = filtered(bank.irradiance[jj])
+        peak = max(peak, col.max(), -col.min())
+        x_mat[:, jj] = col[keep]
     x_mat *= -KW_PER_WM2
     # a band that excludes all bank energy leaves only filter ring-down in
     # the design matrix; regressing on that would return noise dressed up
     # as capacity, so refuse instead
     bank_scale = float(np.max(bank.irradiance, initial=0.0)) * KW_PER_WM2
-    if max(x_mat.max(), -x_mat.min()) <= 1e-8 * max(bank_scale, 1e-12):
+    if peak * KW_PER_WM2 <= 1e-8 * max(bank_scale, 1e-12):
         raise DegenerateWeightsError(
             "pass band contains no irradiance signal (filtered bank is "
             "numerically zero); widen [f_low, f_high]")
-    if mask is not None:
-        keep = np.flatnonzero(mask)
-        if keep.size < j + 1:
-            raise ValueError("not enough usable samples for the fit")
-        y = y[keep]
-        x_mat = x_mat[keep]
+    if keep.size < j + 1:
+        raise ValueError("not enough usable samples for the fit")
     alpha, report = irls_bisquare(x_mat, y, tuning=tuning)
     return CapacityVector(_clip_alpha(alpha), bank.geometry_hash, report)
 

@@ -10,8 +10,8 @@ on the sizes it is given:
                      KKT residual of the unridged problem;
   solve_l1_trend_qp  the prox of a total-variation penalty on each segment
                      by Condat's direct algorithm, clipped at zero;
-  solve_lp           HiGHS through scipy.optimize.linprog, returning the
-                     row duals and a recomputed duality gap;
+  solve_lp           HiGHS through scipy.optimize.linprog without presolve,
+                     returning the row duals and a recomputed duality gap;
   irls_bisquare      majorize-minimize robust regression, one nnls on
                      the J x J weighted Gram per step.
 
@@ -20,6 +20,14 @@ functions that call them, so that importing the package (and every CLI
 command but ``fit`` and ``sweep``) does not load them.  ``methods.fit``
 loads scipy.optimize, which pulls in the other two, before it starts its
 clock, so a fit's reported time stays the solve alone.
+
+HiGHS presolve is off in solve_lp.  Its one production caller is method
+A's dual LP, 21 rows over one box-bounded column per difference pair, and
+on that shape presolve took about as long as the simplex itself: the LP
+of a one-day fold at 30 s took a median of 44 ms with presolve and 22 ms
+without, and the 14-day LP at 10 s 2.2 s and 1.1 s (one process with
+one BLAS thread on a 2-core x86 machine).  A's duality-gap certificate
+checks every answer either way.
 """
 
 from __future__ import annotations
@@ -129,12 +137,14 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     """Solve a linear program; returns (x, SolverReport).
 
     The engine is the HiGHS simplex/interior-point code behind
-    scipy.optimize.linprog.  Optimality is certified through the duality
-    gap recomputed here from the returned primal and dual values.  The
-    multipliers of the a_ub rows go to notes["row_duals"] in linprog's
-    sign convention (d objective / d b_ub, so <= 0).  Infeasible and
-    unbounded problems raise; any other non-optimal status returns the
-    best available point with converged=False.
+    scipy.optimize.linprog, with presolve off: on the few-row problems
+    solved here (method A's dual LP) presolve cost as much as the solve
+    (see the module docstring).  Optimality is certified through the
+    duality gap recomputed here from the returned primal and dual
+    values.  The multipliers of the a_ub rows go to notes["row_duals"]
+    in linprog's sign convention (d objective / d b_ub, so <= 0).
+    Infeasible and unbounded problems raise; any other non-optimal
+    status returns the best available point with converged=False.
     """
     from scipy.optimize import linprog
     n = prog.c.size
@@ -147,7 +157,7 @@ def solve_lp(prog: LinearProgram, tol: float = 1e-6,
     t0 = time.perf_counter()
     res = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, bounds=bounds,
                   method="highs",
-                  options={"presolve": True, "maxiter": max_iter,
+                  options={"presolve": False, "maxiter": max_iter,
                            "primal_feasibility_tolerance": min(tol, 1e-7),
                            "dual_feasibility_tolerance": min(tol, 1e-7)})
     wall = time.perf_counter() - t0

@@ -18,8 +18,8 @@ from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
     UNIT_W_PER_M2,
+    block_average,
     check_aligned,
-    resample_average,
 )
 
 SOLAR_CONSTANT = 1367.0  # W/m2
@@ -334,10 +334,9 @@ class PlaneBank:
 
     def resampled(self, new_period: int) -> "PlaneBank":
         """Block-average every row to a coarser grid (same geometry)."""
-        rows = [resample_average(
-            TimeSeries(self.start_epoch, self.period, row, UNIT_W_PER_M2),
-            new_period).values for row in self.irradiance]
-        return PlaneBank(self.planes, np.vstack(rows),
+        return PlaneBank(self.planes,
+                         block_average(self.irradiance, self.period,
+                                       new_period),
                          self.start_epoch, int(new_period))
 
     def sliced(self, index: np.ndarray, start_epoch: int | None = None,

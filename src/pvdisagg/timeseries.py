@@ -308,30 +308,39 @@ def write_csv(series: TimeSeries, path, comments=()):
                 "timestamp,value", comments)
 
 
-def resample_average(series: TimeSeries, new_period: int) -> TimeSeries:
-    """Block-average down to a coarser period.
+def block_average(values: np.ndarray, period: int,
+                  new_period: int) -> np.ndarray:
+    """Means of consecutive blocks of new_period // period samples along
+    the last axis, so every row of a 2-D array is averaged in one call.
 
-    new_period must be an integer multiple of the source period; a trailing
-    partial block is dropped with a warning.
+    new_period must be an integer multiple of period; trailing samples
+    that fill no block are dropped with one warning.
     """
     new_period = int(new_period)
-    if new_period == series.period:
-        return series
-    if new_period <= 0 or new_period % series.period != 0:
+    if new_period <= 0 or new_period % period != 0:
         raise ResampleError(
             f"target period {new_period} s is not a multiple of "
-            f"{series.period} s")
-    factor = new_period // series.period
-    n_blocks = len(series) // factor
+            f"{period} s")
+    factor = new_period // period
+    n = values.shape[-1]
+    n_blocks = n // factor
     if n_blocks == 0:
         raise ResampleError("series shorter than one target block")
     kept = n_blocks * factor
-    if kept != len(series):
-        warnings.warn(
-            f"resample drops {len(series) - kept} trailing samples",
-            stacklevel=2)
-    means = series.values[:kept].reshape(n_blocks, factor).mean(axis=1)
-    return TimeSeries(series.start_epoch, new_period, means, series.unit)
+    if kept != n:
+        warnings.warn(f"resample drops {n - kept} trailing samples",
+                      stacklevel=3)
+    return values[..., :kept].reshape(
+        values.shape[:-1] + (n_blocks, factor)).mean(axis=-1)
+
+
+def resample_average(series: TimeSeries, new_period: int) -> TimeSeries:
+    """Block-average down to a coarser period (see block_average)."""
+    if int(new_period) == series.period:
+        return series
+    return TimeSeries(series.start_epoch, int(new_period),
+                      block_average(series.values, series.period,
+                                    new_period), series.unit)
 
 
 def mask_night(ghi: TimeSeries, threshold: float = 5.0) -> np.ndarray:

@@ -221,6 +221,21 @@ def test_fit_rejects_cutoff_given_both_ways(pipeline, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("period", ["0", "-60"])
+def test_fit_rejects_non_positive_period(pipeline, tmp_path, capsys, period):
+    # 0 used to fall back to the native period without a word
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", "A", "--period-s", period,
+                 "--out-model", str(model)])
+    assert code == 2
+    assert "--period-s" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_fit_degenerate_band_exits_3(pipeline, tmp_path, capsys):
     # an all-dark sky leaves nothing in any pass band: the robust fit
     # refuses rather than returning an arbitrary capacity

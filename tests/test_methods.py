@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.optimize
+from scipy import signal
 from scipy.optimize import linprog, lsq_linear, nnls
 
 from pvdisagg import dsp, methods
@@ -216,6 +218,38 @@ def test_method_a_reaches_the_epigraph_optimum(seed, j, k, seg, keep):
     assert cap.report.primal_residual <= 1e-9
 
 
+def test_method_a_day_fold_without_presolve_reaches_the_oracle(
+        noisy_scenario, monkeypatch):
+    """A one-day fold of the 21-plane bank at 60 s: solve_lp runs HiGHS
+    with presolve off, and A still reaches the optimum of the primal
+    epigraph LP (which the oracle solves with presolve on) under its own
+    gap certificate."""
+    presolve = []
+    real_linprog = scipy.optimize.linprog
+
+    def spy(*args, **kw):
+        presolve.append(kw["options"]["presolve"])
+        return real_linprog(*args, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    data = noisy_scenario
+    idx = np.arange(1440, 2 * 1440)
+    p = TimeSeries(START, 60, data.p.values[idx], UNIT_KW)
+    bank = data.bank.sliced(idx, start_epoch=START)
+    mask = data.ghi.values[idx] > 5.0
+    cap = fit_method_a(p, bank, mask=mask)
+    assert presolve == [False]
+    pairs = np.flatnonzero(mask[1:] & mask[:-1]) + 1
+    dp = p.values[pairs] - p.values[pairs - 1]
+    dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T / 1e3
+    best = _a_epigraph_oracle(dp, dm)
+    assert abs(np.sum(np.abs(dp + dm @ cap.alpha)) - best) \
+        <= 1e-9 * (1.0 + best)
+    assert cap.report.converged
+    assert abs(cap.report.duality_gap) \
+        <= methods._LP_GAP_TOL * (1.0 + cap.report.objective)
+
+
 def test_method_a_needs_difference_pairs():
     bank = smooth_bank(1440, 60)
     p = ts(np.full(1440, 5.0), 60)
@@ -382,6 +416,30 @@ def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
             ref = dsp.apply_array(filt, bank.irradiance[jj, a:b])
             assert np.array_equal(seen["x"][a:b, jj],
                                   ref * -methods.KW_PER_WM2)
+
+
+def test_method_d_solves_the_filter_steady_state_once(monkeypatch):
+    """A D fit over three segments (two stacked, one tail) works out the
+    sections' steady state once, at design, and never calls sosfiltfilt,
+    which would solve for it again on every one of the fit's filter
+    calls."""
+    calls = []
+    real_zi = signal.sosfilt_zi
+
+    def counted_zi(sos):
+        calls.append(sos)
+        return real_zi(sos)
+
+    def refused(*_args, **_kw):
+        raise AssertionError("sosfiltfilt called")
+
+    monkeypatch.setattr(signal, "sosfilt_zi", counted_zi)
+    monkeypatch.setattr(signal, "sosfiltfilt", refused)
+    bank, alpha_true, p_vals = _separated_instance(kd=2 * 2880 + 1500)
+    cap = fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120,
+                       segment_length=2880)
+    assert len(calls) == 1
+    assert rel_err(cap.alpha, alpha_true) < 1e-6
 
 
 def test_method_d_refuses_empty_band():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from pvdisagg.solar import (PlaneBank, PlaneConfig, SiteConfig, SunPosition,
                             decompose_ghi, default_bank, site_from_config,
                             sun_position, temperature_correct,
                             transpose_hay_davies)
-from pvdisagg.timeseries import UNIT_CELSIUS, UNIT_W_PER_M2, TimeSeries
+from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2, TimeSeries,
+                                 resample_average)
 
 from conftest import START, make_series
 
@@ -269,6 +272,28 @@ def test_bank_resample_averages_rows():
     assert coarse.n_samples == bank.n_samples // 2
     want = bank.irradiance[:, :2].mean(axis=1)
     assert np.allclose(coarse.irradiance[:, 0], want)
+
+
+@pytest.mark.parametrize("n", [25_920, 25_925])
+@pytest.mark.parametrize("factor", [3, 6, 30, 360])
+def test_bank_resample_equals_each_row_resampled(factor, n):
+    """All planes are averaged in one call, bit for bit as each row on its
+    own, and a partial trailing block gives one warning, not one per
+    plane."""
+    irr = np.random.default_rng(factor).uniform(0.0, 1000.0, (21, n))
+    planes = tuple(PlaneConfig(float(j), 180.0) for j in range(21))
+    bank = PlaneBank(planes, irr, START, 10)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        coarse = bank.resampled(10 * factor)
+    assert len(caught) == (n % factor != 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = np.vstack([resample_average(
+            TimeSeries(START, 10, row, UNIT_W_PER_M2), 10 * factor).values
+            for row in irr])
+    assert np.array_equal(coarse.irradiance, want)
+    assert coarse.period == 10 * factor
 
 
 def test_bank_sliced_keeps_geometry():
