@@ -9,10 +9,9 @@ __version__ = "0.1.0"
 
 from .errors import (AlignmentError, BankMismatchError,  # noqa: F401
                      DegenerateWeightsError, DesignError, DisaggError,
-                     FoldError, FormatError, GridError, InfeasibleError,
-                     InputError, NotConvexError, ResampleError,
-                     SolverError, TooShortError, TooSparseError,
-                     UnboundedError)
+                     FoldError, FormatError, GridError, InputError,
+                     NotConvexError, ResampleError, SolverError,
+                     TooShortError, TooSparseError)
 from .timeseries import (TimeSeries, ingest_csv, make_folds,  # noqa: F401
                          mask_night, resample_average, write_csv)
 from .solar import (PlaneBank, PlaneConfig, SiteConfig,  # noqa: F401
@@ -28,6 +27,6 @@ from .evaluation import (Metrics, ScenarioData, ScenarioSpec,  # noqa: F401
                          SweepResult, SweepRow, aggregate_stats,
                          compute_metrics, generate_scenario,
                          penetration_experiment, run_cv)
-from .optim import (LinearProgram, QuadraticProgram,  # noqa: F401
-                    SolverReport, irls_bisquare,
-                    psd_check_and_regularize, solve_lp, solve_qp)
+from .optim import (QuadraticProgram, SolverReport,  # noqa: F401
+                    irls_bisquare, psd_check_and_regularize, solve_lp,
+                    solve_qp)

@@ -231,6 +231,12 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _numbers(value, key: str, integer: bool = False) -> list:
+    """A config value as a list of numbers; a scalar is a one-value list."""
+    return [config_number(x, key, integer)
+            for x in (value if isinstance(value, (list, tuple)) else [value])]
+
+
 def _expand_methods(entries) -> list:
     """Sweep config -> grid of MethodParams; list-valued keys fan out."""
     grid = []
@@ -242,9 +248,8 @@ def _expand_methods(entries) -> list:
         unknown = set(entry) - set(_PARAM_KEYS)
         if unknown:
             raise InputError(f"unknown method keys: {sorted(unknown)}")
-        # a scalar is a one-value list; only c is an integer
-        options = {_PARAM_KEYS[k]: [config_number(x, k, k == "c") for x in
-                                    (v if isinstance(v, list) else [v])]
+        # only c is an integer
+        options = {_PARAM_KEYS[k]: _numbers(v, k, k == "c")
                    for k, v in entry.items()}
         for combo in itertools.product(*options.values()):
             grid.append(MethodParams(method=method, sampling_period=1,
@@ -261,6 +266,7 @@ def cmd_sweep(args) -> int:
     grid = _expand_methods(cfg.get("methods", []))
     if not grid:
         raise InputError("sweep config lists no methods")
+    fold_seed = config_number(cfg.get("fold_seed", 0), "fold_seed", True)
     data = generate_scenario(spec)
 
     out = args.out_dir.rstrip("/")
@@ -269,9 +275,10 @@ def cmd_sweep(args) -> int:
     mode = cfg.get("mode", "cv")
 
     if mode == "cv":
-        resolutions = tuple(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS))
+        resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
+                               "resolutions_s", True)
         result = run_cv(data, grid, resolutions=resolutions,
-                        fold_seed=int(cfg.get("fold_seed", 0)))
+                        fold_seed=fold_seed)
         with open(f"{out}/rows.csv", "w", newline="\n") as fh:
             fh.write(f"# {prov}\n")
             fh.write("method,resolution_s,fold,params,nrmse_pct,"
@@ -293,11 +300,13 @@ def cmd_sweep(args) -> int:
               f"min={s['min']:.2f} median={s['median']:.2f} "
               f"mean={s['mean']:.2f} max={s['max']:.2f} %")
     elif mode == "penetration":
-        fractions = tuple(cfg.get("fractions", (1.0, 0.5, 0.25)))
+        fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
+                             "fractions")
         res = cfg.get("penetration_resolution_s")
-        rows = penetration_experiment(
-            data, grid, fractions=fractions,
-            fold_seed=int(cfg.get("fold_seed", 0)), resolution=res)
+        if res is not None:
+            res = config_number(res, "penetration_resolution_s", True)
+        rows = penetration_experiment(data, grid, fractions=fractions,
+                                      fold_seed=fold_seed, resolution=res)
         with open(f"{out}/penetration.csv", "w", newline="\n") as fh:
             fh.write(f"# {prov}\n")
             fh.write("method,fraction,capacity_kwp,nrmse_pct,nmae_pct,"

@@ -88,14 +88,6 @@ class SolverError(DisaggError):
     """Base class for optimisation failures."""
 
 
-class InfeasibleError(SolverError):
-    """A primal infeasibility certificate was found."""
-
-
-class UnboundedError(SolverError):
-    """A dual infeasibility (unboundedness) certificate was found."""
-
-
 class NotConvexError(SolverError):
     """Quadratic cost is not positive definite even after regularisation."""
 

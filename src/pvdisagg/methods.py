@@ -30,17 +30,20 @@ import numpy as np
 from . import dsp
 from .errors import (AlignmentError, BankMismatchError,
                      DegenerateWeightsError)
-from .optim import (LinearProgram, QuadraticProgram, SolverReport,
+from .optim import (QuadraticProgram, SolverReport, _column_scales,
                     irls_bisquare, solve_l1_trend_qp, solve_lp, solve_qp)
 from .solar import PlaneBank
 from .timeseries import UNIT_KW, TimeSeries
 
 KW_PER_WM2 = 1e-3  # irradiance templates are W/m^2, capacities kWp
 
-_LP_GAP_TOL = 1e-6         # relative duality-gap certificate of A's dual LP
-
 # projected-Newton envelope fit of B and C
 _ENVELOPE_TOL = 1e-8       # relative projected-gradient certificate
+# F >= 0, so F(a) itself bounds F(a) - min F.  Once F(a) is at most a
+# rounding-level share of F(0) (c = 1 or lam = 0 can interpolate P
+# exactly), a is optimal to that relative gap, and the projected
+# gradient, whose terms no longer shrink with F, need not certify it.
+_ENVELOPE_ZERO = np.finfo(float).eps
 # Each step's capacity QP has a Hessian that grows with the sample count
 # (columns are scaled to at most 1) and can be nearly flat along some
 # plane mixes, where a KKT residual cannot see an error in alpha.  A
@@ -142,12 +145,6 @@ def _segment_starts(k: int, segment_length: Optional[int]) -> np.ndarray:
     return np.arange(0, k, segment_length)
 
 
-def _column_scales(m: np.ndarray) -> np.ndarray:
-    s = np.max(np.abs(m), axis=0)
-    s[s == 0] = 1.0
-    return s
-
-
 def predict_generation(alpha: CapacityVector, bank: PlaneBank) -> TimeSeries:
     """Aggregate generation implied by a capacity vector, in kW."""
     if alpha.bank_id != bank.geometry_hash:
@@ -173,14 +170,13 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
     """L1 fit on first differences: min sum_k |dP_k + dG_k(alpha)|.
 
     Difference pairs never straddle a segment boundary, and with a mask
-    only pairs whose both endpoints are kept contribute.  Solved as the
-    dual LP  max dP'u  s.t. |u| <= 1, C'u >= 0  (C the column-scaled
-    differenced bank), whose one row per plane carries the capacities as
-    its multipliers.  The report certifies the answer itself: objective
-    is sum |dP + dG(alpha)| at the returned alpha, duality_gap is that
-    minus dP'u, primal_residual is u's worst constraint violation, and
-    converged needs a HiGHS optimum and a gap of at most
-    _LP_GAP_TOL * (1 + objective).
+    only pairs whose both endpoints are kept contribute.  optim.solve_lp
+    solves the fit through its dual LP  max dP'u  s.t. |u| <= 1, C'u >= 0
+    (C the column-scaled differenced bank), whose one row per plane
+    carries the capacities as its multipliers, and certifies the answer
+    by that LP's duality gap at the returned alpha.  The dual is feasible
+    at u = 0 and bounded by the box, so no input makes it infeasible or
+    unbounded; a HiGHS run that stops short returns converged=False.
     """
     _check_bank(p, bank)
     k, j = len(p), bank.n_planes
@@ -195,22 +191,7 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
 
     dp = p.values[pairs] - p.values[pairs - 1]
     dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T
-    dm = dm * KW_PER_WM2
-    scale = _column_scales(dm)
-    c_mat = dm / scale
-
-    ones = np.ones(pairs.size)
-    u, report = solve_lp(LinearProgram(-dp, -c_mat.T, np.zeros(j),
-                                       lb=-ones, ub=ones))
-    # the rows read -C'u <= 0, so their multipliers are minus the scaled
-    # capacities
-    alpha = _clip_alpha(-report.notes.pop("row_duals", np.zeros(j)) / scale)
-    report.objective = float(np.sum(np.abs(dp + dm @ alpha)))
-    report.duality_gap = report.objective - float(dp @ u)
-    report.primal_residual = max(float(np.max(np.abs(u))) - 1.0,
-                                 float(np.max(-(u @ c_mat))), 0.0)
-    report.converged = report.converged and (
-        abs(report.duality_gap) <= _LP_GAP_TOL * (1.0 + report.objective))
+    alpha, report = solve_lp(dp, dm * KW_PER_WM2)
     return CapacityVector(alpha, bank.geometry_hash, report)
 
 
@@ -227,8 +208,8 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
     (zero) run kept as it is.  Each step minimizes that quadratic model
     over a >= 0 with solve_qp and backtracks (Armijo) on the exact F; the
     loop stops when the projected gradient, relative to the size of the
-    terms it sums, is at most _ENVELOPE_TOL.  Returns (capacities,
-    demand trajectory).
+    terms it sums, is at most _ENVELOPE_TOL, or when F(a) is at most
+    _ENVELOPE_ZERO * F(0).  Returns (capacities, demand trajectory).
     """
     k, j = len(p), bank.n_planes
     if k < j + 1:
@@ -246,6 +227,7 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
 
     a = np.zeros(j)
     obj, l, starts, r = evaluate(a)
+    obj_zero = obj
     evaluations = 1
     report = SolverReport(status="max_iter", primal_residual=0.0)
     for report.iterations in range(_MAX_NEWTON_STEPS + 1):
@@ -257,7 +239,8 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
         report.dual_residual = float(
             np.max(np.abs(a - np.clip(a - grad, 0.0, None)))
             / (1.0 + np.max(np.abs(c_s).T @ np.abs(r))))
-        if report.dual_residual <= _ENVELOPE_TOL:
+        if (report.dual_residual <= _ENVELOPE_TOL
+                or obj <= _ENVELOPE_ZERO * obj_zero):
             report.status, report.converged = "solved", True
             break
         if report.iterations == _MAX_NEWTON_STEPS:

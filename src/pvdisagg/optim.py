@@ -1,8 +1,8 @@
-"""Convex solvers: dense exact QP, 1-D total-variation prox, LP, IRLS.
+"""Convex solvers: dense exact QP, 1-D total-variation prox, method A's
+L1 fit, IRLS.
 
-All quadratic problems use the convention  minimize 0.5*x'Hx - f'x , all
-linear problems  minimize c'x .  Every solver here is exact up to rounding
-on the sizes it is given:
+All quadratic problems use the convention  minimize 0.5*x'Hx - f'x .
+Every solver here is exact up to rounding on the sizes it is given:
 
   solve_qp           proximal-point iteration on the ridge: one Cholesky
                      factor, then one exact bounded least-squares solve per
@@ -10,8 +10,10 @@ on the sizes it is given:
                      KKT residual of the unridged problem;
   solve_l1_trend_qp  the prox of a total-variation penalty on each segment
                      by Condat's direct algorithm, clipped at zero;
-  solve_lp           HiGHS through scipy.optimize.linprog without presolve,
-                     returning the row duals and a recomputed duality gap;
+  solve_lp           method A's L1 fit on differences, min_{a >= 0}
+                     sum |dp + dm a|, through its dual LP in HiGHS
+                     (scipy.optimize.linprog) without presolve, certified
+                     by the duality gap of that one problem;
   irls_bisquare      majorize-minimize robust regression, one nnls on
                      the J x J weighted Gram per step.
 
@@ -21,13 +23,18 @@ command but ``fit`` and ``sweep``) does not load them.  ``methods.fit``
 loads scipy.optimize, which pulls in the other two, before it starts its
 clock, so a fit's reported time stays the solve alone.
 
-HiGHS presolve is off in solve_lp.  Its one production caller is method
-A's dual LP, 21 rows over one box-bounded column per difference pair, and
-on that shape presolve took about as long as the simplex itself: the LP
-of a one-day fold at 30 s took a median of 44 ms with presolve and 22 ms
-without, and the 14-day LP at 10 s 2.2 s and 1.1 s (one process with
-one BLAS thread on a 2-core x86 machine).  A's duality-gap certificate
-checks every answer either way.
+A's dual LP  max dp'u  s.t. |u| <= 1, C'u >= 0  has no infeasible or
+unbounded outcome: u = 0 satisfies every constraint and the box bounds
+the objective.  The only failure left is HiGHS stopping short (iteration
+limit, numerical trouble), which solve_lp reports as converged=False.
+
+HiGHS presolve is off in solve_lp.  A's dual LP has 21 rows over one
+box-bounded column per difference pair, and on that shape presolve took
+about as long as the simplex itself: the LP of a one-day fold at 30 s
+took a median of 44 ms with presolve and 22 ms without, and the 14-day
+LP at 10 s 2.2 s and 1.1 s (one process with one BLAS thread on a 2-core
+x86 machine).  The duality-gap certificate checks every answer either
+way.
 """
 
 from __future__ import annotations
@@ -37,12 +44,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeightsError,
-    InfeasibleError,
-    NotConvexError,
-    UnboundedError,
-)
+from .errors import DegenerateWeightsError, NotConvexError
+
+_LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
+_LP_FEAS_TOL = 1e-7    # HiGHS primal and dual feasibility tolerances
+_LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
+_QP_MAX_ITER = 50000   # proximal steps of solve_qp
 
 
 @dataclass
@@ -76,36 +83,6 @@ class SolverReport:
 
 
 @dataclass
-class LinearProgram:
-    """minimize c'x  s.t.  a_ub x <= b_ub,  lb <= x <= ub (per variable).
-
-    lb and ub default to no bound, and so do their -inf and +inf entries.
-    """
-
-    c: np.ndarray
-    a_ub: object = None
-    b_ub: np.ndarray = None
-    lb: np.ndarray = None
-    ub: np.ndarray = None
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        n = self.c.size
-        if self.a_ub is not None and self.a_ub.shape[1] != n:
-            raise ValueError(f"a_ub has {self.a_ub.shape[1]} columns, "
-                             f"expected {n}")
-        if (self.a_ub is None) != (self.b_ub is None):
-            raise ValueError("a_ub and b_ub must come together")
-        for name in ("lb", "ub"):
-            bound = getattr(self, name)
-            if bound is not None:
-                bound = np.asarray(bound, dtype=float)
-                if bound.size != n:
-                    raise ValueError(f"{name} length mismatch")
-                setattr(self, name, bound)
-
-
-@dataclass
 class QuadraticProgram:
     """minimize 0.5*x'Hx - f'x  s.t.  x[nonneg] >= 0.
 
@@ -132,66 +109,62 @@ class QuadraticProgram:
             raise ValueError("beta_reg must be >= 0")
 
 
-def solve_lp(prog: LinearProgram, tol: float = 1e-6,
-             max_iter: int = 50000):
-    """Solve a linear program; returns (x, SolverReport).
+def _column_scales(m: np.ndarray) -> np.ndarray:
+    """Largest |entry| of every column; 1 for an all-zero column."""
+    s = np.max(np.abs(m), axis=0)
+    s[s == 0] = 1.0
+    return s
 
-    The engine is the HiGHS simplex/interior-point code behind
-    scipy.optimize.linprog, with presolve off: on the few-row problems
-    solved here (method A's dual LP) presolve cost as much as the solve
-    (see the module docstring).  Optimality is certified through the
-    duality gap recomputed here from the returned primal and dual
-    values.  The multipliers of the a_ub rows go to notes["row_duals"]
-    in linprog's sign convention (d objective / d b_ub, so <= 0).
-    Infeasible and unbounded problems raise; any other non-optimal
-    status returns the best available point with converged=False.
+
+def solve_lp(dp: np.ndarray, dm: np.ndarray):
+    """Method A's L1 fit  min_{a >= 0} sum_k |dp_k + (dm a)_k|; returns
+    (a, SolverReport).
+
+    Solved through its dual  max dp'u  s.t. |u| <= 1, C'u >= 0, with C
+    the columns of dm scaled to at most 1: one row per column of dm and
+    one box-bounded variable per difference.  The rows' multipliers are
+    the scaled capacities: linprog takes the rows as -C'u <= 0 under the
+    minimized -dp'u and returns d objective / d rhs, so a is minus those
+    multipliers over the column scales, clipped at zero.
+
+    The report certifies a itself: objective is sum |dp + dm a|,
+    duality_gap is that minus dp'u (never negative for a feasible u, by
+    weak duality), primal_residual is u's worst violation of the box and
+    of C'u >= 0, and converged needs a HiGHS optimum and a gap of at most
+    _LP_GAP_TOL * (1 + objective).  Every other HiGHS status returns
+    converged=False, with u = 0 and a = 0 when HiGHS has no point.
     """
     from scipy.optimize import linprog
-    n = prog.c.size
-    lb = prog.lb if prog.lb is not None else np.full(n, -np.inf)
-    ub = prog.ub if prog.ub is not None else np.full(n, np.inf)
-    lb_fin, ub_fin = np.isfinite(lb), np.isfinite(ub)
-    if prog.a_ub is None and not (lb_fin.any() or ub_fin.any()):
-        raise ValueError("LP needs at least one constraint row")
-    bounds = np.column_stack([lb, ub])
     t0 = time.perf_counter()
-    res = linprog(prog.c, A_ub=prog.a_ub, b_ub=prog.b_ub, bounds=bounds,
-                  method="highs",
-                  options={"presolve": False, "maxiter": max_iter,
-                           "primal_feasibility_tolerance": min(tol, 1e-7),
-                           "dual_feasibility_tolerance": min(tol, 1e-7)})
-    wall = time.perf_counter() - t0
-    if res.status == 2:
-        raise InfeasibleError("LP constraints are inconsistent")
-    if res.status == 3:
-        raise UnboundedError("LP objective is unbounded below")
-
-    report = SolverReport(wall_time=wall,
-                          iterations=int(np.atleast_1d(res.nit).sum()),
-                          notes={"engine": "highs"})
+    scale = _column_scales(dm)
+    c_mat = dm / scale
+    res = linprog(-dp, A_ub=-c_mat.T, b_ub=np.zeros(dm.shape[1]),
+                  bounds=(-1.0, 1.0), method="highs",
+                  options={"presolve": False, "maxiter": _LP_MAX_ITER,
+                           "primal_feasibility_tolerance": _LP_FEAS_TOL,
+                           "dual_feasibility_tolerance": _LP_FEAS_TOL})
     if res.x is None:
-        report.status = "max_iter" if res.status == 1 else "numerical"
+        u, a = np.zeros(dp.size), np.zeros(dm.shape[1])
+    else:
+        u = np.asarray(res.x, dtype=float)
+        a = np.clip(-res.ineqlin.marginals / scale, 0.0, None)
+    objective = float(np.sum(np.abs(dp + dm @ a)))
+    report = SolverReport(
+        objective=objective, iterations=int(res.nit),
+        primal_residual=max(float(np.max(np.abs(u))) - 1.0,
+                            float(np.max(-(u @ c_mat))), 0.0),
+        dual_residual=0.0,  # a >= 0 by the clip
+        duality_gap=objective - float(dp @ u),
+        status={0: "solved", 1: "max_iter"}.get(res.status, "numerical"),
+        notes={"engine": "highs"})
+    report.converged = bool(res.status == 0) and (
+        abs(report.duality_gap) <= _LP_GAP_TOL * (1.0 + objective))
+    if res.status != 0:
         report.notes["no_convergence"] = True
-        return np.zeros(n), report
-    x = np.asarray(res.x, dtype=float)
-    report.objective = float(prog.c @ x)
-
-    rp = max(float(np.max(lb[lb_fin] - x[lb_fin], initial=0.0)),
-             float(np.max(x[ub_fin] - ub[ub_fin], initial=0.0)))
-    dual_obj = float(res.lower.marginals[lb_fin] @ lb[lb_fin]
-                     + res.upper.marginals[ub_fin] @ ub[ub_fin])
-    if prog.a_ub is not None:
-        rp = max(rp, float(np.max(prog.a_ub @ x - prog.b_ub, initial=0.0)))
-        dual_obj += float(res.ineqlin.marginals @ prog.b_ub)
-        report.notes["row_duals"] = np.asarray(res.ineqlin.marginals)
-    report.primal_residual = rp
-    report.dual_residual = 0.0  # HiGHS enforces dual feasibility itself
-    report.duality_gap = report.objective - dual_obj
-    report.converged = bool(res.status == 0)
-    report.status = "solved" if res.status == 0 else "max_iter"
-    if np.max(np.abs(prog.c), initial=0.0) == 0.0:
+    if not dp.any():
         report.notes["degenerate_cost"] = True
-    return x, report
+    report.wall_time = time.perf_counter() - t0
+    return a, report
 
 
 def _dense_symmetric(h) -> np.ndarray:
@@ -223,8 +196,7 @@ def psd_check_and_regularize(h, beta_reg: float):
     return h_reg, is_pd, min_eig
 
 
-def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
-             max_iter: int = 50000):
+def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     """Solve min 0.5x'Hx - f'x subject to x[nonneg] >= 0; (x, SolverReport).
 
     Dense and exact: with R'R = H + beta_reg*I factored once, each step
@@ -233,8 +205,9 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
     nnls when every variable is nonnegative, by BVLS when only some are,
     and by a triangular solve when none is.  The iteration stops when the
     projected-gradient (KKT) residual of the unridged H is at most
-    tol * (1 + max(|Hx|, |f|)); the report carries that residual, the
-    bound violation and the complementarity gap x[nonneg]'(Hx - f)[nonneg].
+    tol * (1 + max(|Hx|, |f|)), or unconverged after _QP_MAX_ITER steps;
+    the report carries that residual, the bound violation and the
+    complementarity gap x[nonneg]'(Hx - f)[nonneg].
     Raises NotConvexError when the ridged matrix has no Cholesky factor.
     """
     from scipy.linalg import cholesky, solve_triangular
@@ -266,7 +239,7 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6,
 
     x = np.zeros(n)
     report = SolverReport(status="max_iter")
-    for report.iterations in range(1, max_iter + 1):
+    for report.iterations in range(1, _QP_MAX_ITER + 1):
         x = step(solve_triangular(r, prog.f + prog.beta_reg * x,
                                   trans="T"))
         hx = h @ x

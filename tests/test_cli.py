@@ -17,7 +17,7 @@ from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
                                  write_csv)
 
-from conftest import make_series
+from conftest import highs_stops_short, make_series
 
 SCENARIO = {"days": 3, "period_s": 60, "noise_kw": 0.02, "seed": 17,
             "inrush_per_day": 2.0,
@@ -257,6 +257,29 @@ def test_fit_degenerate_band_exits_3(pipeline, tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("with_point", [True, False],
+                         ids=["iteration-limit", "no-point"])
+def test_fit_a_exits_3_when_highs_stops_short(pipeline, tmp_path, capsys,
+                                              monkeypatch, with_point):
+    """A's dual LP is never infeasible or unbounded, so a HiGHS run that
+    stops short is the only failure: the report says converged=False and
+    the fit exits 3."""
+    highs_stops_short(monkeypatch, with_point)
+    data = pipeline["data"]
+    report = tmp_path / "report.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(data / "ghi.csv"),
+                 "--t-air", str(data / "t_air.csv"),
+                 "--p", str(data / "p.csv"), "--method", "A",
+                 "--out-model", str(tmp_path / "m.json"),
+                 "--out-report", str(report)])
+    assert code == 3
+    assert "NOT converged" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["converged"] is False
+    assert doc["status"] == ("max_iter" if with_point else "numerical")
+
+
 # ---------------------------------------------------------------------------
 # disaggregate
 
@@ -427,6 +450,26 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
     ("synth", {"days": 3, "period_s": 300,
                "plant": [{"tilt": 10, "azimuth": 180}]},
      2, "plant kwp: expected a number, got None"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "fold_seed": None},
+     2, "fold_seed: expected a number"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "fold_seed": [1]},
+     2, "fold_seed: expected a number"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "resolutions_s": 900},
+     0, ""),  # a scalar is a one-value list
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "resolutions_s": [300.5]},
+     2, "resolutions_s: expected an integer"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "mode": "penetration",
+               "fractions": ["a"]},
+     2, "fractions: expected a number"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "mode": "penetration",
+               "fractions": [1.0], "penetration_resolution_s": "x"},
+     2, "penetration_resolution_s: expected a number"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):
@@ -441,9 +484,12 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
              if command == "transpose" else ["--out-dir", str(tmp_path)])
     assert main([command, flag, str(path), *extra]) == code
     assert message in capsys.readouterr().err
-    if code == 0:
+    if code == 0 and command == "synth":
         doc = json.loads((tmp_path / "scenario.json").read_text())
         assert doc["scenario"]["days"] == 3
+    elif code == 0:  # every row of the sweep is at the one resolution
+        rows = (tmp_path / "rows.csv").read_text().splitlines()[2:]
+        assert rows and all(row.startswith("A,900,") for row in rows)
 
 
 # ---------------------------------------------------------------------------

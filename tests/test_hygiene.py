@@ -1,9 +1,11 @@
-"""Import hygiene of the package modules, checked on their syntax trees.
+"""Hygiene of the package modules, checked on their syntax trees.
 
-Two rules: a module uses every name it imports (``__init__.py`` is
-exempt, since its imports are the package's re-exports), and no function
-imports a package module locally; such imports go at the top of the
-module, where every reader sees the module's dependencies.
+Three rules: a module uses every name it imports (``__init__.py`` is
+exempt, since its imports are the package's re-exports); no function
+imports a package module locally, since such imports go at the top of
+the module, where every reader sees the module's dependencies; and every
+exception class in ``errors.py`` is raised somewhere in the package, or
+is a base class of one that is, so the taxonomy holds no dead types.
 """
 
 import ast
@@ -50,6 +52,28 @@ def local_package_imports(tree) -> list:
     return found
 
 
+def unraised_exceptions(errors_tree, trees) -> list:
+    """Exception classes of errors_tree that no raise statement in trees
+    names, directly or through a subclass."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in errors_tree.body if isinstance(node, ast.ClassDef)}
+    live = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                if isinstance(exc, ast.Name):
+                    live.add(exc.id)
+    stack = list(live)
+    while stack:
+        for base in bases.get(stack.pop(), []):
+            if base not in live:
+                live.add(base)
+                stack.append(base)
+    return sorted(set(bases) - live)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -62,6 +86,12 @@ def test_no_function_local_package_import(path):
     assert local_package_imports(_tree(path)) == []
 
 
+def test_every_exception_is_raised():
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    assert unraised_exceptions(_tree(errors),
+                               [_tree(p) for p in MODULES]) == []
+
+
 def test_checks_catch_what_they_forbid():
     tree = ast.parse("import os\nfrom .x import y, z as w\n"
                      "def f():\n    from .timeseries import mask_night\n"
@@ -70,3 +100,11 @@ def test_checks_catch_what_they_forbid():
     assert unused_imports(tree) == ["mask_night (line 4)", "os (line 1)",
                                     "w (line 2)"]
     assert local_package_imports(tree) == ["f (line 4)"]
+    errors = ast.parse("class E(Exception): pass\n"
+                       "class Base(E): pass\n"
+                       "class Used(Base): pass\n"
+                       "class Dead(Base): pass\n")
+    user = ast.parse("def f(x):\n"
+                     "    if x:\n        raise Used('no')\n"
+                     "    raise ValueError\n")
+    assert unraised_exceptions(errors, [user]) == ["Dead"]

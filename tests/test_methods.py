@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.optimize
 from scipy import signal
-from scipy.optimize import linprog, lsq_linear, nnls
+from scipy.optimize import lsq_linear, nnls
 
-from pvdisagg import dsp, methods
+from pvdisagg import dsp, methods, optim
 from pvdisagg.errors import (AlignmentError, BankMismatchError,
                              DegenerateWeightsError)
 from pvdisagg.evaluation import ScenarioSpec, generate_scenario
@@ -19,6 +19,8 @@ from pvdisagg.optim import SolverReport, solve_l1_trend_qp
 from pvdisagg.solar import PlaneBank, PlaneConfig
 from pvdisagg.timeseries import (UNIT_KW, TimeSeries, make_folds,
                                  resample_average)
+
+from conftest import l1_oracle
 
 START = 1685577600
 
@@ -170,19 +172,6 @@ def test_method_a_mask_keeps_recovery_exact():
     assert np.allclose(cap.alpha, [0, 0, 0, 2.0], atol=1e-6)
 
 
-def _a_epigraph_oracle(dp, dm):
-    """min sum |dp + dm a| over a >= 0 as the primal epigraph LP
-    min sum t  s.t.  -t <= dp + dm a <= t, solved by HiGHS."""
-    r, j = dm.shape
-    eye = np.eye(r)
-    res = linprog(np.concatenate([np.zeros(j), np.ones(r)]),
-                  A_ub=np.block([[dm, -eye], [-dm, -eye]]),
-                  b_ub=np.concatenate([-dp, dp]), bounds=(0, None),
-                  method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 4),
        k=st.integers(24, 90), seg=st.one_of(st.none(), st.integers(2, 90)),
@@ -209,7 +198,7 @@ def test_method_a_reaches_the_epigraph_optimum(seed, j, k, seg, keep):
     cap = fit_method_a(ts(p_vals, 300), bank, mask=mask, segment_length=seg)
     dp = p_vals[pairs] - p_vals[pairs - 1]
     dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T / 1e3
-    best = _a_epigraph_oracle(dp, dm)
+    best = l1_oracle(dp, dm)
     reached = np.sum(np.abs(dp + dm @ cap.alpha))
     assert abs(reached - best) <= 1e-9 * (1.0 + best)
     assert abs(cap.report.objective - reached) <= 1e-12 * (1.0 + best)
@@ -242,12 +231,12 @@ def test_method_a_day_fold_without_presolve_reaches_the_oracle(
     pairs = np.flatnonzero(mask[1:] & mask[:-1]) + 1
     dp = p.values[pairs] - p.values[pairs - 1]
     dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T / 1e3
-    best = _a_epigraph_oracle(dp, dm)
+    best = l1_oracle(dp, dm)
     assert abs(np.sum(np.abs(dp + dm @ cap.alpha)) - best) \
         <= 1e-9 * (1.0 + best)
     assert cap.report.converged
     assert abs(cap.report.duality_gap) \
-        <= methods._LP_GAP_TOL * (1.0 + cap.report.objective)
+        <= optim._LP_GAP_TOL * (1.0 + cap.report.objective)
 
 
 def test_method_a_needs_difference_pairs():
@@ -345,6 +334,30 @@ def test_method_c_unit_block_interpolates():
     cap, l_hat = fit_method_c(p, bank, c=1)
     resid = p.values - (l_hat.values
                         - predict_generation(cap, bank).values)
+    assert np.max(np.abs(resid)) < 1e-6
+
+
+@pytest.mark.parametrize("params", [MethodParams("C", 60, c=1),
+                                    MethodParams("B", 60, lam=0.0)],
+                         ids=["C-c1", "B-lam0"])
+def test_interpolating_fit_converges_at_a_zero_objective(params):
+    """A 21-plane day fold where free per-sample demand interpolates P:
+    the objective falls to 1.7e-14 against F(0) = 3.2e4, where the
+    projected gradient no longer certifies it and the line search used to
+    stall (line_search, 208 evaluations).  F >= 0, so F(a) itself bounds
+    the gap, and the fit converges."""
+    data = generate_scenario(ScenarioSpec(seed=7, days=3, period_s=10))
+    p_r = resample_average(data.p, 60)
+    idx = np.concatenate([np.arange(d * 1440, (d + 1) * 1440)
+                          for d in make_folds(3, 0).folds[0]])
+    p = TimeSeries(p_r.start_epoch, 60, p_r.values[idx], UNIT_KW)
+    bank = data.bank.resampled(60).sliced(idx, start_epoch=p_r.start_epoch)
+    cap, l_hat, _ = fit(p, bank, params, segment_length=1440)
+    f_zero = 0.5 * np.sum(np.minimum(p.values, 0.0) ** 2)
+    assert cap.report.converged and cap.report.status == "solved"
+    assert cap.report.objective <= methods._ENVELOPE_ZERO * f_zero
+    assert cap.report.notes["evaluations"] < 50
+    resid = p.values - (l_hat.values - predict_generation(cap, bank).values)
     assert np.max(np.abs(resid)) < 1e-6
 
 

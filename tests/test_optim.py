@@ -6,22 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear, nnls
 
-from pvdisagg.errors import (DegenerateWeightsError, InfeasibleError,
-                             NotConvexError, UnboundedError)
-from pvdisagg.optim import (LinearProgram, QuadraticProgram, _wls,
-                            irls_bisquare, psd_check_and_regularize,
-                            solve_l1_trend_qp, solve_lp, solve_qp)
+from pvdisagg.errors import DegenerateWeightsError, NotConvexError
+from pvdisagg.optim import (QuadraticProgram, _wls, irls_bisquare,
+                            psd_check_and_regularize, solve_l1_trend_qp,
+                            solve_lp, solve_qp)
+
+from conftest import highs_stops_short, l1_oracle
 
 
-# --- linear programs -------------------------------------------------------
-
-def test_lp_scalar_bound():
-    prog = LinearProgram(c=np.array([1.0]), lb=np.array([3.0]))
-    x, rep = solve_lp(prog)
-    assert abs(x[0] - 3.0) < 1e-9
-    assert rep.converged
-    assert rep.primal_residual <= 1e-9
-
+# --- method A's L1 fit (solve_lp) ------------------------------------------
 
 def test_lp_l1_fit_ignores_gross_outlier():
     """L1 regression of y = 2u with one wild point stays on slope 2.
@@ -33,92 +26,70 @@ def test_lp_l1_fit_ignores_gross_outlier():
     u = rng.uniform(0.5, 2.0, 40)
     y = 2.0 * u
     y[7] = 50.0  # gross corruption
-    # variables: slope s (>= 0), residual bounds t_k  -> min sum t
-    n = 1 + u.size
-    c = np.concatenate([[0.0], np.ones(u.size)])
-    rows = []
-    rhs = []
-    for k in range(u.size):
-        row = np.zeros(n)
-        row[0] = u[k]
-        row[1 + k] = -1.0
-        rows.append(row.copy())     # s*u - t <= y
-        rhs.append(y[k])
-        row = np.zeros(n)
-        row[0] = -u[k]
-        row[1 + k] = -1.0
-        rows.append(row)            # -s*u - t <= -y
-        rhs.append(-y[k])
-    prog = LinearProgram(c, a_ub=np.array(rows), b_ub=np.array(rhs),
-                         lb=np.zeros(n))
-    x, rep = solve_lp(prog)
-    slope = x[0]
+    a, rep = solve_lp(-y, u[:, None])  # min sum |s*u - y| over s >= 0
+    slope = a[0]
     assert abs(slope - 2.0) < 1e-6
-    # grid oracle: the achieved objective is the best over all slopes
+    assert rep.converged and rep.status == "solved"
+
     def l1_cost(s):
         return float(np.sum(np.abs(s * u - y)))
     grid = np.linspace(0.0, 5.0, 2001)
     assert l1_cost(slope) <= min(l1_cost(s) for s in grid) + 1e-9
+    assert rep.objective == pytest.approx(l1_cost(slope), abs=1e-12)
 
 
 def test_lp_zero_cost_flagged():
-    prog = LinearProgram(c=np.zeros(2), lb=np.array([0.0, 0.0]))
-    x, rep = solve_lp(prog)
+    dm = np.random.default_rng(3).normal(size=(30, 4))
+    a, rep = solve_lp(np.zeros(30), dm)
     assert rep.notes.get("degenerate_cost") is True
     assert rep.converged
-
-
-def test_lp_iteration_cap_flags_instead_of_raising():
-    rng = np.random.default_rng(0)
-    m, n = 40, 25
-    a = rng.normal(size=(m, n))
-    b = rng.uniform(1, 2, m)
-    c = rng.uniform(0.1, 1, n)
-    prog = LinearProgram(c, a_ub=a, b_ub=b, lb=np.full(n, -10.0))
-    x, rep = solve_lp(prog, max_iter=1)
-    assert not rep.converged
-    assert rep.status == "max_iter"
-    assert rep.notes.get("no_convergence") is True
-    assert np.all(np.isfinite(x))
-
-
-def test_lp_infeasible_raises():
-    # x <= -1 and x >= 0 cannot hold together
-    prog = LinearProgram(c=np.array([1.0]),
-                         a_ub=np.array([[1.0]]), b_ub=np.array([-1.0]),
-                         lb=np.array([0.0]))
-    with pytest.raises(InfeasibleError):
-        solve_lp(prog)
-
-
-def test_lp_unbounded_raises():
-    prog = LinearProgram(c=np.array([-1.0]),
-                         a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
-    with pytest.raises(UnboundedError):
-        solve_lp(prog)
-
-
-def test_lp_needs_constraints():
-    with pytest.raises(ValueError):
-        solve_lp(LinearProgram(c=np.array([1.0])))
+    assert np.all(a >= 0.0)
+    assert rep.objective <= 1e-12
 
 
 def test_lp_duality_gap_certificate():
-    """Odd trials add upper bounds, whose marginals the gap must count."""
+    """Random fits, every odd one with an all-zero column: the report's
+    own gap certificate holds and the objective is the optimum of the
+    primal epigraph LP."""
     rng = np.random.default_rng(2)
     for trial in range(10):
-        m, n = 30, 12
-        a = rng.normal(size=(m, n))
-        b = rng.uniform(0.5, 2.0, m)
-        c = rng.uniform(-1.0, 1.0, n)
-        ub = np.full(n, 0.2) if trial % 2 else None
-        prog = LinearProgram(c, a_ub=a, b_ub=b, lb=np.full(n, -5.0), ub=ub)
-        x, rep = solve_lp(prog)
+        r, j = 60, 5
+        dm = rng.normal(size=(r, j)) * rng.uniform(0.01, 100.0, j)
+        if trial % 2:
+            dm[:, trial % j] = 0.0
+        dp = -dm @ rng.uniform(0.0, 2.0, j) + rng.laplace(0.0, 0.5, r)
+        a, rep = solve_lp(dp, dm)
         assert rep.converged
+        assert np.all(a >= 0.0)
         assert rep.primal_residual <= 1e-9
-        if ub is not None:
-            assert np.any(x >= 0.2 - 1e-9)
-        assert abs(rep.duality_gap) <= 1e-6 * (1.0 + abs(rep.objective))
+        assert abs(rep.duality_gap) <= 1e-6 * (1.0 + rep.objective)
+        assert rep.objective == float(np.sum(np.abs(dp + dm @ a)))
+        best = l1_oracle(dp, dm)
+        assert abs(rep.objective - best) <= 1e-9 * (1.0 + best)
+
+
+def test_lp_iteration_cap_flags_instead_of_raising(monkeypatch):
+    highs_stops_short(monkeypatch, with_point=True)
+    rng = np.random.default_rng(0)
+    dm = rng.normal(size=(40, 3))
+    a, rep = solve_lp(rng.normal(size=40), dm)
+    assert not rep.converged
+    assert rep.status == "max_iter"
+    assert rep.notes.get("no_convergence") is True
+    assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
+
+
+def test_lp_without_a_point_returns_zero_unconverged(monkeypatch):
+    highs_stops_short(monkeypatch, with_point=False)
+    rng = np.random.default_rng(0)
+    dp = rng.normal(size=40)
+    a, rep = solve_lp(dp, rng.normal(size=(40, 3)))
+    assert not rep.converged
+    assert rep.status == "numerical"
+    assert rep.notes.get("no_convergence") is True
+    assert np.array_equal(a, np.zeros(3))
+    # u = 0: the gap is the whole objective sum |dp|
+    assert rep.objective == rep.duality_gap == float(np.sum(np.abs(dp)))
 
 
 # --- quadratic programs ----------------------------------------------------
