@@ -101,12 +101,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_transpose(args) -> int:
+def _site_bank(args):
+    """(site config, planes, GHI, bank) from --site, --ghi and --t-air."""
     cfg = _load_yaml(args.site)
     site, planes, model = site_from_config(cfg)
     ghi = ingest_csv(args.ghi, UNIT_W_PER_M2)
-    t_air = ingest_csv(args.t_air, UNIT_CELSIUS)
-    bank = build_bank(ghi, t_air, site, planes, model)
+    bank = build_bank(ghi, ingest_csv(args.t_air, UNIT_CELSIUS), site,
+                      planes, model)
+    return cfg, planes, ghi, bank
+
+
+def cmd_transpose(args) -> int:
+    cfg, planes, ghi, bank = _site_bank(args)
     header = "timestamp," + ",".join(
         f"plane_{i + 1:02d}_w_per_m2" for i in range(bank.n_planes))
     comments = [_prov_comment(cfg),
@@ -143,13 +149,8 @@ def _method_params_from_args(args, period: int) -> MethodParams:
 def cmd_fit(args) -> int:
     if args.period_s is not None and args.period_s <= 0:
         raise InputError(f"--period-s must be positive, got {args.period_s}")
-    site_cfg = _load_yaml(args.site)
-    site, planes, model = site_from_config(site_cfg)
-    ghi = ingest_csv(args.ghi, UNIT_W_PER_M2)
-    t_air = ingest_csv(args.t_air, UNIT_CELSIUS)
+    site_cfg, planes, ghi, bank = _site_bank(args)
     p = ingest_csv(args.p, UNIT_KW)
-    bank = build_bank(ghi, t_air, site, planes, model)
-
     period = p.period if args.period_s is None else args.period_s
     if period != p.period:
         p = resample_average(p, period)
@@ -157,7 +158,6 @@ def cmd_fit(args) -> int:
         bank = bank.resampled(period)
 
     params = _method_params_from_args(args, period)
-    params.validate()
     night = None if args.no_night_mask else mask_night(
         ghi, params.night_threshold)
     cap, l_hat, seconds = fit(p, bank, params, night_mask=night,
@@ -178,26 +178,20 @@ def cmd_fit(args) -> int:
     }
     _write_json(args.out_model, model_doc)
     report = cap.report
-    if args.out_report is not None and report is not None:
+    if args.out_report is not None:
         _write_json(args.out_report,
                     {"provenance": _prov_dict(cfg), **report.to_dict()})
     print(f"method {params.method}: total {cap.total_kwp:.3f} kWp "
           f"in {seconds:.2f} s "
-          f"({'converged' if report is None or report.converged else 'NOT converged'})")
-    if report is not None and not report.converged:
-        return 3
-    return 0
+          f"({'converged' if report.converged else 'NOT converged'})")
+    return 0 if report.converged else 3
 
 
 def cmd_disaggregate(args) -> int:
     with open(args.model) as fh:
         model_doc = json.load(fh)
-    site_cfg = _load_yaml(args.site)
-    site, planes, temp_model = site_from_config(site_cfg)
-    ghi = ingest_csv(args.ghi, UNIT_W_PER_M2)
-    t_air = ingest_csv(args.t_air, UNIT_CELSIUS)
+    *_, bank = _site_bank(args)
     p = ingest_csv(args.p, UNIT_KW)
-    bank = build_bank(ghi, t_air, site, planes, temp_model)
 
     alpha = CapacityVector(np.asarray(model_doc["alpha_kwp"], float),
                            model_doc["bank"]["geometry_hash"])
@@ -232,9 +226,12 @@ def cmd_metrics(args) -> int:
 
 
 def _numbers(value, key: str, integer: bool = False) -> list:
-    """A config value as a list of numbers; a scalar is a one-value list."""
-    return [config_number(x, key, integer)
-            for x in (value if isinstance(value, (list, tuple)) else [value])]
+    """A config value as a non-empty list of numbers; a scalar is a
+    one-value list."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    if not values:
+        raise InputError(f"{key}: expected at least one value")
+    return [config_number(x, key, integer) for x in values]
 
 
 def _expand_methods(entries) -> list:
@@ -361,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=("A", "B", "C", "D"))
     p.add_argument("--period-s", type=int, default=None,
                    help="resample everything to this period first")
-    p.add_argument("--lam", type=float, default=0.0,
-                   help="demand total-variation weight (method B)")
-    p.add_argument("--c", type=int, default=1,
-                   help="demand block length in samples (method C)")
+    p.add_argument("--lam", type=float, default=None,
+                   help="demand total-variation weight (required by B)")
+    p.add_argument("--c", type=int, default=None,
+                   help="demand block length in samples (required by C)")
     p.add_argument("--f-low-hz", type=float, default=None)
     p.add_argument("--f-high-hz", type=float, default=None)
     p.add_argument("--f-low-s", type=float, default=None, metavar="SECONDS",

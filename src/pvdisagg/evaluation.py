@@ -368,40 +368,29 @@ class SweepResult:
 
     rows: list
 
-    def grid_points(self) -> list:
-        seen, order = set(), []
+    def _groups(self) -> dict:
+        """Rows per grid point, in the order the points first appear."""
+        groups = {}
         for r in self.rows:
             key = (r.method, r.resolution, tuple(sorted(r.params.items())))
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-        return order
+            groups.setdefault(key, []).append(r)
+        return groups
 
-    def _rows_at(self, key):
-        return [r for r in self.rows
-                if (r.method, r.resolution,
-                    tuple(sorted(r.params.items()))) == key]
+    def grid_points(self) -> list:
+        return list(self._groups())
 
     def fold_stats(self, metric: str = "nrmse") -> list:
         """Per grid point: spread of the metric over its folds."""
-        out = []
-        for key in self.grid_points():
-            rows = self._rows_at(key)
-            stats = aggregate_stats([getattr(r, metric) for r in rows])
-            out.append({"method": key[0], "resolution": key[1],
-                        "params": dict(key[2]), "folds": len(rows),
-                        **stats})
-        return out
+        return [{"method": key[0], "resolution": key[1],
+                 "params": dict(key[2]), "folds": len(rows),
+                 **aggregate_stats([getattr(r, metric) for r in rows])}
+                for key, rows in self._groups().items()]
 
     def fold_means(self, metric: str = "nrmse") -> list:
-        out = []
-        for key in self.grid_points():
-            rows = self._rows_at(key)
-            out.append({"method": key[0], "resolution": key[1],
-                        "params": dict(key[2]),
-                        metric: float(np.mean([getattr(r, metric)
-                                               for r in rows]))})
-        return out
+        return [{"method": key[0], "resolution": key[1],
+                 "params": dict(key[2]),
+                 metric: float(np.mean([getattr(r, metric) for r in rows]))}
+                for key, rows in self._groups().items()]
 
     def summary(self, metric: str = "nrmse") -> dict:
         """Spread of the per-grid-point fold means across the whole grid."""
@@ -412,27 +401,33 @@ def _day_index(days: Sequence[int], spd: int) -> np.ndarray:
     return np.concatenate([np.arange(d * spd, (d + 1) * spd) for d in days])
 
 
-def _fit_and_score(p_r, ghi_r, g_true_r, bank_r, params: MethodParams,
-                   train_days, test_days, spd: int, capacity: float,
-                   night_threshold: float):
+def _resampled(data: ScenarioData, res: int):
+    """(P, GHI, G_true, bank) of a scenario block-averaged to res seconds;
+    averaging commutes with the linear generation model."""
+    return (resample_average(data.p, res), resample_average(data.ghi, res),
+            resample_average(data.g_true, res), data.bank.resampled(res))
+
+
+def _fit_and_score(p, ghi, g_true, bank, params: MethodParams,
+                   train_days, test_days, capacity: float):
+    """Fit on the training days at P's period, score G on the test days.
+
+    Returns (metrics, fit seconds, converged, the params as fit).
+    """
+    spd = p.samples_per_day
+    params = dataclasses.replace(params, sampling_period=p.period)
     idx_tr = _day_index(train_days, spd)
     idx_te = _day_index(test_days, spd)
-    p_tr = TimeSeries(p_r.start_epoch, p_r.period, p_r.values[idx_tr],
-                      p_r.unit)
-    bank_tr = bank_r.sliced(idx_tr, start_epoch=p_r.start_epoch)
-    ghi_tr = TimeSeries(ghi_r.start_epoch, ghi_r.period,
-                        ghi_r.values[idx_tr], ghi_r.unit)
-    night = mask_night(ghi_tr, night_threshold)
-    cap, _, seconds = fit(p_tr, bank_tr, params, night_mask=night,
-                          segment_length=spd)
-
-    bank_te = bank_r.sliced(idx_te, start_epoch=p_r.start_epoch)
-    g_hat = predict_generation(cap, bank_te)
-    g_ref = TimeSeries(p_r.start_epoch, p_r.period,
-                       g_true_r.values[idx_te], UNIT_KW)
-    m = compute_metrics(g_ref, g_hat, capacity)
-    converged = bool(cap.report.converged) if cap.report else True
-    return m, seconds, converged
+    night = mask_night(ghi.with_values(ghi.values[idx_tr]),
+                       params.night_threshold)
+    cap, _, seconds = fit(p.with_values(p.values[idx_tr]),
+                          bank.sliced(idx_tr, start_epoch=p.start_epoch),
+                          params, night_mask=night, segment_length=spd)
+    g_hat = predict_generation(
+        cap, bank.sliced(idx_te, start_epoch=p.start_epoch))
+    m = compute_metrics(g_true.with_values(g_true.values[idx_te]), g_hat,
+                        capacity)
+    return m, seconds, bool(cap.report.converged), params
 
 
 def run_cv(data: ScenarioData, grid: Sequence[MethodParams],
@@ -441,29 +436,20 @@ def run_cv(data: ScenarioData, grid: Sequence[MethodParams],
     """Three-fold whole-day CV of every grid point at every resolution.
 
     Each resolution must be an integer multiple of the data's base period;
-    the bank is block-averaged to match (averaging commutes with the
-    linear generation model).  One day block trains, the other two test.
+    P, GHI, G_true and the bank are block-averaged to it (_resampled), and
+    each fit takes its sampling period from them.  One day block trains,
+    the other two test; fit validates every grid point.
     """
     folds = make_folds(data.n_days, fold_seed)
     rows = []
     for res in resolutions:
-        p_r = resample_average(data.p, res)
-        ghi_r = resample_average(data.ghi, res)
-        g_r = resample_average(data.g_true, res)
-        bank_r = data.bank.resampled(res)
-        spd = SECONDS_PER_DAY // res
+        series = _resampled(data, res)
         for params in grid:
-            params_r = dataclasses.replace(params, sampling_period=res)
-            params_r.validate()
             for k in range(len(folds.folds)):
-                train_days, test_days = folds.train_test(k)
-                m, seconds, ok = _fit_and_score(
-                    p_r, ghi_r, g_r, bank_r, params_r, train_days,
-                    test_days, spd, data.capacity_kwp,
-                    params_r.night_threshold)
-                rows.append(SweepRow(params_r.method, res,
-                                     params_r.to_dict(), k, m.nrmse,
-                                     m.nmae, m.nme, seconds, ok))
+                m, seconds, ok, fitted = _fit_and_score(
+                    *series, params, *folds.train_test(k), data.capacity_kwp)
+                rows.append(SweepRow(fitted.method, res, fitted.to_dict(), k,
+                                     m.nrmse, m.nmae, m.nme, seconds, ok))
     return SweepResult(rows)
 
 
@@ -482,14 +468,9 @@ def penetration_experiment(data: ScenarioData,
     by the scaled capacity f * C so the percentages stay comparable.
     Single split: the first fold's day block trains, the rest test.
     """
-    res = resolution if resolution is not None else data.p.period
-    p_r = resample_average(data.p, res)
-    ghi_r = resample_average(data.ghi, res)
-    g_r = resample_average(data.g_true, res)
-    bank_r = data.bank.resampled(res)
-    spd = SECONDS_PER_DAY // res
-    folds = make_folds(data.n_days, fold_seed)
-    train_days, test_days = folds.train_test(0)
+    p_r, ghi_r, g_r, bank_r = _resampled(
+        data, resolution if resolution is not None else data.p.period)
+    train_days, test_days = make_folds(data.n_days, fold_seed).train_test(0)
 
     rows = []
     for frac in fractions:
@@ -498,12 +479,10 @@ def penetration_experiment(data: ScenarioData,
         p_f = p_r.with_values(p_r.values + (1.0 - frac) * g_r.values)
         g_f = g_r.with_values(frac * g_r.values)
         for params in methods:
-            params_r = dataclasses.replace(params, sampling_period=res)
-            params_r.validate()
-            m, seconds, ok = _fit_and_score(
-                p_f, ghi_r, g_f, bank_r, params_r, train_days, test_days,
-                spd, frac * data.capacity_kwp, params_r.night_threshold)
-            rows.append({"method": params_r.method, "fraction": frac,
+            m, seconds, ok, _ = _fit_and_score(
+                p_f, ghi_r, g_f, bank_r, params, train_days, test_days,
+                frac * data.capacity_kwp)
+            rows.append({"method": params.method, "fraction": frac,
                          "capacity_kwp": frac * data.capacity_kwp,
                          "nrmse": m.nrmse, "nmae": m.nmae, "nme": m.nme,
                          "seconds": seconds, "converged": ok})

@@ -82,8 +82,8 @@ class MethodParams:
 
     method: str
     sampling_period: int
-    lam: float = 0.0
-    c: int = 1
+    lam: Optional[float] = None  # required by B
+    c: Optional[int] = None  # required by C
     f_low: Optional[float] = None
     f_high: Optional[float] = None
     irls_tuning: float = 4.685
@@ -94,11 +94,12 @@ class MethodParams:
             raise ValueError(f"unknown method {self.method!r}")
         if self.sampling_period <= 0:
             raise ValueError("sampling_period must be positive")
-        if self.method == "B" and self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.method == "C":
-            if int(self.c) != self.c or self.c < 1:
-                raise ValueError("c must be a positive integer")
+        if self.method == "B" and (self.lam is None or self.lam < 0):
+            raise ValueError(f"method B needs lam >= 0, got {self.lam}")
+        if self.method == "C" and (self.c is None or int(self.c) != self.c
+                                   or self.c < 1):
+            raise ValueError(
+                f"method C needs c, a positive integer, got {self.c}")
         if self.method == "D":
             if self.f_low is None or self.f_high is None:
                 raise ValueError("method D needs f_low and f_high")

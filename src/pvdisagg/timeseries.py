@@ -165,6 +165,7 @@ def _read_rows(path):
 # write_table's time-stamp field: the digit positions hold '0' here
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP == ord("0")
+_YEAR_ONE = np.datetime64("0001-01-01", "s")  # datetime's first day
 
 
 def _read_table(path):
@@ -173,10 +174,11 @@ def _read_table(path):
     The layout is: '#' comment lines, a header line starting with
     "timestamp,", then rows of "YYYY-MM-DDTHH:MM:SSZ," and one or more
     value fields, in ASCII with LF line endings and no quotes.  The time
-    stamps are read as one byte array and checked against the calendar;
-    the second column goes through one float() pass.  Any departure from
-    the layout returns None, so that _read_rows reads the file and its
-    results and errors are those of the general parser.
+    stamps are read as one byte array, checked for their separators and
+    digits, then parsed by numpy in one call, which refuses impossible
+    dates and times; the second column goes through one float() pass.
+    Any departure from the layout returns None, so that _read_rows reads
+    the file and its results and errors are those of the general parser.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -197,37 +199,22 @@ def _read_table(path):
         return None
     raw = raw.reshape(len(rows), _STAMP.size)
     # uint8 arithmetic: any byte but '0'-'9' lands above 9
-    digits = raw[:, _STAMP_DIGITS] - np.uint8(ord("0"))
     if (np.any(raw[:, ~_STAMP_DIGITS] != _STAMP[~_STAMP_DIGITS])
-            or np.any(digits > 9)):
+            or np.any(raw[:, _STAMP_DIGITS] - np.uint8(ord("0")) > 9)):
         return None
-
-    def number(first, stop):  # the decimal number in digits first..stop-1
-        out = np.zeros(len(rows), dtype=np.int64)
-        for i in range(first, stop):
-            out = out * 10 + digits[:, i]
-        return out
-
-    year, month, day, hour, minute, second = (
-        number(first, stop) for first, stop in
-        ((0, 4), (4, 6), (6, 8), (8, 10), (10, 12), (12, 14)))
-    # day numbers (since 1970-01-01) of the first of each row's month and of
-    # the next month, in numpy's proleptic Gregorian calendar, as datetime's
-    months = (year - 1970) * 12 + (month - 1)
-    first, following = (
-        (months + i).astype("datetime64[M]").astype("datetime64[D]")
-        .astype(np.int64) for i in (0, 1))
-    if not np.all((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                  & (day <= following - first) & (hour <= 23)
-                  & (minute <= 59) & (second <= 59)):
+    try:
+        # the 19 bytes before "Z," of every row as one string each
+        stamps = (np.ascontiguousarray(raw[:, :19]).view("S19").ravel()
+                  .astype("datetime64[s]"))
+    except ValueError:  # Feb 30, hour 24, minute or second 60, ...
         return None
-    times = ((first + day - 1) * SECONDS_PER_DAY + hour * 3600 + minute * 60
-             + second)
+    if np.any(stamps < _YEAR_ONE):  # numpy reads year 0, datetime does not
+        return None
     try:
         vals = np.array([float(row.split(b",", 2)[1]) for row in rows])
     except ValueError:
         return None
-    return times, vals
+    return stamps.astype(np.int64), vals
 
 
 def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSeries:

@@ -236,6 +236,22 @@ def test_fit_rejects_non_positive_period(pipeline, tmp_path, capsys, period):
     assert not model.exists()
 
 
+@pytest.mark.parametrize("method, key", [("B", "lam"), ("C", "c")])
+def test_fit_needs_the_method_parameter(pipeline, tmp_path, capsys, method,
+                                        key):
+    # lam = 0 and c = 1 used to be the defaults: free per-sample demand
+    # absorbs P, and the capacities are not identified
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", method, "--out-model", str(model)])
+    assert code == 2
+    assert f"method {method} needs {key}" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_fit_degenerate_band_exits_3(pipeline, tmp_path, capsys):
     # an all-dark sky leaves nothing in any pass band: the robust fit
     # refuses rather than returning an arbitrary capacity
@@ -470,6 +486,23 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
                "methods": [{"method": "A"}], "mode": "penetration",
                "fractions": [1.0], "penetration_resolution_s": "x"},
      2, "penetration_resolution_s: expected a number"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "mode": "penetration",
+               "fractions": []},
+     2, "fractions: expected at least one value"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "resolutions_s": []},
+     2, "resolutions_s: expected at least one value"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "C", "c": []}],
+               "resolutions_s": [900]},
+     2, "c: expected at least one value"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "C"}], "resolutions_s": [900]},
+     2, "method C needs c"),  # c = 1 interpolates P: not identified
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "B"}], "resolutions_s": [900]},
+     2, "method B needs lam"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):

@@ -1,11 +1,13 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Three rules: a module uses every name it imports (``__init__.py`` is
+Four rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
-the module, where every reader sees the module's dependencies; and every
+the module, where every reader sees the module's dependencies; every
 exception class in ``errors.py`` is raised somewhere in the package, or
-is a base class of one that is, so the taxonomy holds no dead types.
+is a base class of one that is, so the taxonomy holds no dead types; and
+every private module-level name (one underscore, not a dunder) is read
+somewhere in the package, so no helper or constant outlives its caller.
 """
 
 import ast
@@ -74,6 +76,39 @@ def unraised_exceptions(errors_tree, trees) -> list:
     return sorted(set(bases) - live)
 
 
+def _private(name) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def orphan_private_names(trees) -> list:
+    """Private module-level functions, classes and constants of trees
+    that no tree loads, by name, as an attribute or through an import."""
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                loaded.update(alias.name for alias in node.names)
+    orphans = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [(node.name, node.lineno)]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [(t.id, node.lineno) for target in targets
+                         for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            orphans += [f"{name} (line {line})" for name, line in names
+                        if _private(name) and name not in loaded]
+    return sorted(orphans)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -92,6 +127,10 @@ def test_every_exception_is_raised():
                                [_tree(p) for p in MODULES]) == []
 
 
+def test_every_private_name_is_used():
+    assert orphan_private_names([_tree(p) for p in MODULES]) == []
+
+
 def test_checks_catch_what_they_forbid():
     tree = ast.parse("import os\nfrom .x import y, z as w\n"
                      "def f():\n    from .timeseries import mask_night\n"
@@ -108,3 +147,10 @@ def test_checks_catch_what_they_forbid():
                      "    if x:\n        raise Used('no')\n"
                      "    raise ValueError\n")
     assert unraised_exceptions(errors, [user]) == ["Dead"]
+    module = ast.parse("_LIMIT = 3\n_TOL, _OLD = 1e-9, 2\n__all__ = []\n"
+                       "def _helper():\n    return _LIMIT\n"
+                       "def _orphan():\n    return _helper()\n"
+                       "class _Dead: pass\n")
+    other = ast.parse("from .m import _TOL\n")
+    assert orphan_private_names([module, other]) == [
+        "_Dead (line 8)", "_OLD (line 2)", "_orphan (line 6)"]

@@ -668,6 +668,8 @@ def test_fit_mask_policy():
     dict(method="D", sampling_period=60, f_low=1 / 240, f_high=1 / 1200),
     dict(method="D", sampling_period=60, f_low=1 / 1200, f_high=1 / 240,
          irls_tuning=0.0),
+    dict(method="B", sampling_period=60),  # lam = 0 and c = 1 interpolate
+    dict(method="C", sampling_period=60),  # P, so neither is a default
 ])
 def test_method_params_validation(bad):
     with pytest.raises(ValueError):

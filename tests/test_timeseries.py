@@ -221,10 +221,12 @@ _NEAR_MISSES = {
     "feb_29_2023": _replace(5, "2023-03-01", "2023-02-29"),
     "hour_24": _replace(5, "2023-03-01T00:00:00", "2023-02-28T24:00:00"),
     "minute_60": _replace(5, "2023-03-01T00:00:00", "2023-02-28T23:60:00"),
+    "second_60": _replace(5, "2023-03-01T00:00:00", "2023-02-28T23:59:60"),
     "skipped_row": _delete(4),
     "duplicate_stamp": _insert(4, "2023-02-28T23:59:00Z,3.25"),
     "no_header": _delete(1),
     "third_column": _replace(4, ",3.25", ",3.25,99.0"),
+    "year_0": _replace(2, "2023-02-28T23:57", "0000-02-28T23:57"),
 }
 
 
