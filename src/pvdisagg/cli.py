@@ -9,6 +9,7 @@ a provenance comment (tool version, config hash, seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, dsp
 from .errors import DisaggError, InputError, SolverError, config_number
 from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, compute_metrics,
                          generate_scenario, penetration_experiment, run_cv)
@@ -264,16 +265,34 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise InputError("sweep config lists no methods")
     fold_seed = config_number(cfg.get("fold_seed", 0), "fold_seed", True)
+    mode = cfg.get("mode", "cv")
+    if mode == "cv":
+        resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
+                               "resolutions_s", True)
+    elif mode == "penetration":
+        fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
+                             "fractions")
+        res = cfg.get("penetration_resolution_s")
+        resolutions = [spec.period_s if res is None else
+                       config_number(res, "penetration_resolution_s", True)]
+    else:
+        raise InputError(f"unknown sweep mode {mode!r}")
+    # refuse the sweep before any work when one of its fits would: every
+    # grid point at every resolution gets the checks its fit runs
+    for res, params in itertools.product(resolutions, grid):
+        params = dataclasses.replace(params, sampling_period=res)
+        params.validate()
+        if res % spec.period_s:
+            raise InputError(f"{res} s is not a multiple of {spec.period_s} s")
+        if params.method == "D":
+            dsp.design_bandpass(params.f_low, params.f_high, 1.0 / res)
     data = generate_scenario(spec)
 
     out = args.out_dir.rstrip("/")
     os.makedirs(out, exist_ok=True)
     prov = _prov_comment(cfg, spec.seed)
-    mode = cfg.get("mode", "cv")
 
     if mode == "cv":
-        resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
-                               "resolutions_s", True)
         result = run_cv(data, grid, resolutions=resolutions,
                         fold_seed=fold_seed)
         with open(f"{out}/rows.csv", "w", newline="\n") as fh:
@@ -296,14 +315,10 @@ def cmd_sweep(args) -> int:
               f"{len(result.grid_points())} grid points; nRMSE "
               f"min={s['min']:.2f} median={s['median']:.2f} "
               f"mean={s['mean']:.2f} max={s['max']:.2f} %")
-    elif mode == "penetration":
-        fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
-                             "fractions")
-        res = cfg.get("penetration_resolution_s")
-        if res is not None:
-            res = config_number(res, "penetration_resolution_s", True)
+    else:
         rows = penetration_experiment(data, grid, fractions=fractions,
-                                      fold_seed=fold_seed, resolution=res)
+                                      fold_seed=fold_seed,
+                                      resolution=resolutions[0])
         with open(f"{out}/penetration.csv", "w", newline="\n") as fh:
             fh.write(f"# {prov}\n")
             fh.write("method,fraction,capacity_kwp,nrmse_pct,nmae_pct,"
@@ -314,8 +329,6 @@ def cmd_sweep(args) -> int:
                          f"{r['nmae']:.6f},{r['nme']:.6f},"
                          f"{r['seconds']:.3f},{int(r['converged'])}\n")
         print(f"{len(rows)} penetration rows to {out}/penetration.csv")
-    else:
-        raise InputError(f"unknown sweep mode {mode!r}")
     return 0
 
 
@@ -410,8 +423,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, yaml.YAMLError, ValueError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (InputError, OSError, yaml.YAMLError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -21,7 +21,7 @@ scipy.optimize, scipy.linalg and scipy.sparse are imported inside the
 functions that call them, so that importing the package (and every CLI
 command but ``fit`` and ``sweep``) does not load them.  ``methods.fit``
 loads scipy.optimize, which pulls in the other two, before it starts its
-clock, so a fit's reported time stays the solve alone.
+clock, so a fit's reported time stays the fit alone.
 
 A's dual LP  max dp'u  s.t. |u| <= 1, C'u >= 0  has no infeasible or
 unbounded outcome: u = 0 satisfies every constraint and the box bounds
@@ -39,7 +39,6 @@ way.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,8 @@ _QP_MAX_ITER = 50000   # proximal steps of solve_qp
 
 @dataclass
 class SolverReport:
-    """Diagnostics attached to every solver answer."""
+    """Diagnostics attached to every solver answer; wall_time is the whole
+    fit's seconds, written by ``methods.fit`` (0.0 on a solver alone)."""
 
     objective: float = np.nan
     iterations: int = 0
@@ -135,7 +135,6 @@ def solve_lp(dp: np.ndarray, dm: np.ndarray):
     converged=False, with u = 0 and a = 0 when HiGHS has no point.
     """
     from scipy.optimize import linprog
-    t0 = time.perf_counter()
     scale = _column_scales(dm)
     c_mat = dm / scale
     res = linprog(-dp, A_ub=-c_mat.T, b_ub=np.zeros(dm.shape[1]),
@@ -163,7 +162,6 @@ def solve_lp(dp: np.ndarray, dm: np.ndarray):
         report.notes["no_convergence"] = True
     if not dp.any():
         report.notes["degenerate_cost"] = True
-    report.wall_time = time.perf_counter() - t0
     return a, report
 
 
@@ -212,7 +210,6 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     """
     from scipy.linalg import cholesky, solve_triangular
     from scipy.optimize import lsq_linear, nnls
-    t0 = time.perf_counter()
     h = _dense_symmetric(prog.h)
     n = prog.f.size
     h_reg = h + prog.beta_reg * np.eye(n)
@@ -254,7 +251,6 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     report.objective = float(0.5 * x @ hx - prog.f @ x)
     report.primal_residual = float(np.max(-x[nonneg], initial=0.0))
     report.duality_gap = float(x[nonneg] @ grad[nonneg])
-    report.wall_time = time.perf_counter() - t0
     return x, report
 
 
@@ -333,26 +329,18 @@ def solve_l1_trend_qp(y, lam: float, starts):
     segment of two or more samples gets its exact total-variation prox by
     Condat's algorithm; a one-sample segment keeps its value.  Clipping the
     result at zero gives the prox of the penalty plus nonnegativity (Yu,
-    NeurIPS 2013).  The report's notes carry the total variation within
-    segments; with lam = 0 the answer is y clipped at zero.
+    NeurIPS 2013).  Returns (x, the total variation of x within
+    segments); with lam = 0 x is y clipped at zero.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    t0 = time.perf_counter()
     x = np.array(y, dtype=float)
     ends = np.append(starts[1:], x.size)
     for a, b in zip(starts, ends):
         if b - a > 1:
             x[a:b] = _tv_prox(x[a:b].tolist(), lam)
     x = np.clip(x, 0.0, None)
-    tv = float(np.sum(np.abs(np.delete(np.diff(x), ends[:-1] - 1))))
-    report = SolverReport(
-        objective=float(0.5 * np.sum((x - y) ** 2) + lam * tv),
-        iterations=1, primal_residual=0.0, dual_residual=0.0,
-        duality_gap=0.0, converged=True, status="solved",
-        wall_time=time.perf_counter() - t0,
-        notes={"total_variation": tv})
-    return x, report
+    return x, float(np.sum(np.abs(np.delete(np.diff(x), ends[:-1] - 1))))
 
 
 def _bisquare_rho(r: np.ndarray, width: float) -> np.ndarray:
@@ -408,7 +396,6 @@ def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
     sums, and duality_gap its complementarity a'(Ga - b), both in the
     scaled coordinates.
     """
-    t0 = time.perf_counter()
     x_mat = np.asarray(x_mat, dtype=float)
     y = np.asarray(y, dtype=float)
     if x_mat.ndim != 2 or x_mat.shape[0] != y.size:
@@ -481,5 +468,4 @@ def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
     if np.any(~keep):
         report.notes["dropped_zero_columns"] = int(np.sum(~keep))
     report.notes["objective_history"] = [float(v) for v in history]
-    report.wall_time = time.perf_counter() - t0
     return alpha, report

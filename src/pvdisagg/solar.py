@@ -339,13 +339,12 @@ class PlaneBank:
                                        new_period),
                          self.start_epoch, int(new_period))
 
-    def sliced(self, index: np.ndarray, start_epoch: int | None = None,
-               period: int | None = None) -> "PlaneBank":
+    def sliced(self, index: np.ndarray,
+               start_epoch: int | None = None) -> "PlaneBank":
         """Column subset (e.g. the samples of selected days)."""
         return PlaneBank(self.planes, self.irradiance[:, index],
                          self.start_epoch if start_epoch is None
-                         else start_epoch,
-                         self.period if period is None else period)
+                         else start_epoch, self.period)
 
 
 def build_bank(ghi: TimeSeries, t_air: TimeSeries, site: SiteConfig,

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import pvdisagg
+from pvdisagg import evaluation
 from pvdisagg.cli import main
 from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
@@ -189,18 +190,26 @@ def test_fit_report_document(pipeline):
     assert doc["converged"] is True
     assert doc["status"] == "solved"
     assert doc["provenance"]["tool"] == "pvdisagg"
+    # one reading of the whole fit feeds both documents
+    model = json.loads(pipeline["model"].read_text())
+    assert doc["wall_time_s"] == model["train_seconds"] > 0.0
 
 
 def test_fit_accepts_cutoffs_as_periods(pipeline, tmp_path):
     out = tmp_path / "model_d.json"
+    report = tmp_path / "report_d.json"
     assert main(["fit", "--site", str(pipeline["site"]),
                  "--ghi", str(pipeline["data"] / "ghi.csv"),
                  "--t-air", str(pipeline["data"] / "t_air.csv"),
                  "--p", str(pipeline["data"] / "p.csv"),
                  "--method", "D",
                  "--f-low-s", "7200", "--f-high-s", "600",
-                 "--out-model", str(out)]) == 0
+                 "--out-model", str(out), "--out-report", str(report)]) == 0
     doc = json.loads(out.read_text())
+    # the report's time includes the filter design and filtering, as the
+    # model's does
+    assert json.loads(report.read_text())["wall_time_s"] \
+        == doc["train_seconds"]
     assert doc["params"]["f_low"] == pytest.approx(1.0 / 7200.0)
     assert doc["params"]["f_high"] == pytest.approx(1.0 / 600.0)
     # the default band straddles the 1800 s demand steps, so the capacity
@@ -416,6 +425,38 @@ def test_sweep_penetration_mode(tmp_path):
     first = rows[2].split(",")
     assert first[0] == "A" and float(first[1]) == 1.0
     assert float(first[2]) == pytest.approx(35.3)
+
+
+@pytest.mark.parametrize("methods, resolutions, message", [
+    ([{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
+                        "f_high_hz": 0.0008}, {"method": "C"}],
+     [300, 900], "method C needs c"),
+    # the band fits at 300 s but lies above the Nyquist rate at 900 s
+    ([{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
+                        "f_high_hz": 0.0008}, {"method": "C", "c": 30}],
+     [300, 900], "f_low < f_high < rate/2"),
+    ([{"method": "A"}], [300, 450], "450 s is not a multiple of 300 s"),
+], ids=["last-entry", "last-resolution", "not-a-multiple"])
+def test_sweep_checks_the_whole_grid_before_any_fit(
+        tmp_path, capsys, monkeypatch, methods, resolutions, message):
+    """A grid point any of whose fits would be refused exits 2 before the
+    scenario is built, not after the fits listed before it."""
+    calls = []
+    real_fit = evaluation.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[2].method)
+        return real_fit(*args, **kwargs)
+    monkeypatch.setattr(evaluation, "fit", counting_fit)
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "scenario": {"days": 3, "period_s": 300}, "methods": methods,
+        "resolutions_s": resolutions}))
+    assert main(["sweep", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_unknown_mode_exit_2(tmp_path, capsys):

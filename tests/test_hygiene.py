@@ -1,13 +1,15 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Four rules: a module uses every name it imports (``__init__.py`` is
+Five rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
 exception class in ``errors.py`` is raised somewhere in the package, or
-is a base class of one that is, so the taxonomy holds no dead types; and
+is a base class of one that is, so the taxonomy holds no dead types;
 every private module-level name (one underscore, not a dunder) is read
-somewhere in the package, so no helper or constant outlives its caller.
+somewhere in the package, so no helper or constant outlives its caller;
+and only ``methods.fit`` reads ``perf_counter``, so every reported time
+of a fit is one reading of one clock.
 """
 
 import ast
@@ -109,6 +111,24 @@ def orphan_private_names(trees) -> list:
     return sorted(orphans)
 
 
+def clock_reads(tree) -> list:
+    """Every read of perf_counter in tree, by name or as an attribute,
+    tagged with its innermost enclosing function (``<module>`` outside
+    any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if ((isinstance(child, ast.Name) and child.id == "perf_counter")
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == "perf_counter")):
+                found.append(f"{owner} (line {child.lineno})")
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+    visit(tree, "<module>")
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -129,6 +149,12 @@ def test_every_exception_is_raised():
 
 def test_every_private_name_is_used():
     assert orphan_private_names([_tree(p) for p in MODULES]) == []
+
+
+def test_only_fit_reads_the_clock():
+    reads = {p.name: clock_reads(_tree(p)) for p in MODULES}
+    assert {r.split()[0] for r in reads.pop("methods.py")} == {"fit"}
+    assert sum(reads.values(), []) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -154,3 +180,8 @@ def test_checks_catch_what_they_forbid():
     other = ast.parse("from .m import _TOL\n")
     assert orphan_private_names([module, other]) == [
         "_Dead (line 8)", "_OLD (line 2)", "_orphan (line 6)"]
+    clocks = ast.parse("import time\nT0 = time.perf_counter()\n"
+                       "def solve():\n    from time import perf_counter\n"
+                       "    def step():\n        return perf_counter()\n"
+                       "    return step() - T0\n")
+    assert clock_reads(clocks) == ["<module> (line 2)", "step (line 6)"]

@@ -635,6 +635,7 @@ def test_fit_returns_demand_only_for_joint_methods():
         assert isinstance(cap, CapacityVector)
         assert cap.alpha.size == 4
         assert seconds > 0
+        assert cap.report.wall_time == seconds  # one clock
         if method in ("B", "C"):
             assert isinstance(l_hat, TimeSeries)
         else:
