@@ -21,12 +21,13 @@ import yaml
 
 from . import __version__, dsp
 from .errors import DisaggError, InputError, SolverError, config_number
-from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, compute_metrics,
-                         generate_scenario, penetration_experiment, run_cv)
+from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, check_fractions,
+                         compute_metrics, generate_scenario,
+                         penetration_experiment, run_cv)
 from .methods import CapacityVector, MethodParams, disaggregate, fit
 from .solar import build_bank, site_from_config
 from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
-                         UNIT_W_PER_M2, TimeSeries, ingest_csv, mask_night,
+                         UNIT_W_PER_M2, ingest_csv, mask_night,
                          resample_average, write_csv, write_table)
 
 _PARAM_KEYS = {  # YAML key -> MethodParams field
@@ -66,14 +67,6 @@ def _write_json(path, payload):
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-
-
-def _auto_segment(series: TimeSeries):
-    """Day-boundary segmentation when the series spans multiple days."""
-    spd = SECONDS_PER_DAY // series.period
-    if len(series) > spd and len(series) % spd == 0:
-        return spd
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +154,7 @@ def cmd_fit(args) -> int:
     params = _method_params_from_args(args, period)
     night = None if args.no_night_mask else mask_night(
         ghi, params.night_threshold)
-    cap, l_hat, seconds = fit(p, bank, params, night_mask=night,
-                              segment_length=_auto_segment(p))
+    cap, l_hat, seconds = fit(p, bank, params, night_mask=night)
 
     cfg = {"site": site_cfg, "params": params.to_dict()}
     model_doc = {
@@ -272,20 +264,25 @@ def cmd_sweep(args) -> int:
     elif mode == "penetration":
         fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
                              "fractions")
+        check_fractions(fractions)
         res = cfg.get("penetration_resolution_s")
         resolutions = [spec.period_s if res is None else
                        config_number(res, "penetration_resolution_s", True)]
     else:
         raise InputError(f"unknown sweep mode {mode!r}")
     # refuse the sweep before any work when one of its fits would: every
-    # grid point at every resolution gets the checks its fit runs
+    # grid point at every resolution gets the checks its whole-day fit runs
     for res, params in itertools.product(resolutions, grid):
         params = dataclasses.replace(params, sampling_period=res)
         params.validate()
-        if res % spec.period_s:
-            raise InputError(f"{res} s is not a multiple of {spec.period_s} s")
+        if res % spec.period_s or SECONDS_PER_DAY % res:
+            raise InputError(f"{res} s is not a multiple of "
+                             f"{spec.period_s} s that divides one day")
         if params.method == "D":
-            dsp.design_bandpass(params.f_low, params.f_high, 1.0 / res)
+            filt = dsp.design_bandpass(params.f_low, params.f_high, 1.0 / res)
+            if SECONDS_PER_DAY // res <= filt.padlen:
+                raise InputError(f"a day at {res} s is too short for D's "
+                                 f"edge padding ({filt.padlen} samples)")
     data = generate_scenario(spec)
 
     out = args.out_dir.rstrip("/")

@@ -7,7 +7,7 @@ phase.
 
 ``apply_array`` filters along the last axis, so a caller with many series
 of one length stacks them as rows and pays the per-call overhead once:
-method D filters all equal-length segments of a column in one call.  The
+method D filters a column's segments of one length in one call.  The
 settling time that sets the edge padding and the sections' steady state
 (the unit-step initial conditions of Gustafsson, IEEE TSP 44(4), 1996)
 are worked out once, at design: ``apply_array`` does the odd extension
@@ -34,9 +34,9 @@ from .errors import DesignError, TooShortError
 @dataclass(frozen=True)
 class BandpassFilter:
     """Designed filter: cutoffs in Hz, sos is a (3, 6) section matrix,
-    settling_samples the slowest pole's time constant in samples (the
-    unit of the edge padding) and zi the (3, 2) section states of a unit
-    step in steady state (``scipy.signal.sosfilt_zi``)."""
+    settling_samples the slowest pole's time constant in samples (three
+    make padlen, the edge padding) and zi the (3, 2) section states of a
+    unit step in steady state (``scipy.signal.sosfilt_zi``)."""
 
     f_low: float
     f_high: float
@@ -44,6 +44,10 @@ class BandpassFilter:
     sos: np.ndarray
     settling_samples: int
     zi: np.ndarray
+
+    @property
+    def padlen(self) -> int:
+        return 3 * self.settling_samples
 
 
 def design_bandpass(f_low: float, f_high: float,
@@ -87,7 +91,7 @@ def apply_array(filt: BandpassFilter, values: np.ndarray) -> np.ndarray:
     first sample."""
     from scipy import signal
     values = np.asarray(values, dtype=float)
-    padlen = 3 * filt.settling_samples
+    padlen = filt.padlen
     if values.shape[-1] <= padlen:
         raise TooShortError(
             f"series of {values.shape[-1]} samples cannot carry the "

@@ -414,15 +414,14 @@ def _fit_and_score(p, ghi, g_true, bank, params: MethodParams,
 
     Returns (metrics, fit seconds, converged, the params as fit).
     """
-    spd = p.samples_per_day
     params = dataclasses.replace(params, sampling_period=p.period)
-    idx_tr = _day_index(train_days, spd)
-    idx_te = _day_index(test_days, spd)
+    idx_tr = _day_index(train_days, p.samples_per_day)
+    idx_te = _day_index(test_days, p.samples_per_day)
     night = mask_night(ghi.with_values(ghi.values[idx_tr]),
                        params.night_threshold)
     cap, _, seconds = fit(p.with_values(p.values[idx_tr]),
                           bank.sliced(idx_tr, start_epoch=p.start_epoch),
-                          params, night_mask=night, segment_length=spd)
+                          params, night_mask=night)
     g_hat = predict_generation(
         cap, bank.sliced(idx_te, start_epoch=p.start_epoch))
     m = compute_metrics(g_true.with_values(g_true.values[idx_te]), g_hat,
@@ -456,6 +455,11 @@ def run_cv(data: ScenarioData, grid: Sequence[MethodParams],
 # ---------------------------------------------------------------------------
 # penetration experiment
 
+def check_fractions(fractions: Sequence[float]) -> None:
+    if not all(0.0 < frac <= 1.0 for frac in fractions):
+        raise ValueError("fractions must lie in (0, 1]")
+
+
 def penetration_experiment(data: ScenarioData,
                            methods: Sequence[MethodParams],
                            fractions: Sequence[float] = (1.0, 0.5, 0.25),
@@ -468,14 +472,13 @@ def penetration_experiment(data: ScenarioData,
     by the scaled capacity f * C so the percentages stay comparable.
     Single split: the first fold's day block trains, the rest test.
     """
+    check_fractions(fractions)
     p_r, ghi_r, g_r, bank_r = _resampled(
         data, resolution if resolution is not None else data.p.period)
     train_days, test_days = make_folds(data.n_days, fold_seed).train_test(0)
 
     rows = []
     for frac in fractions:
-        if not (0.0 < frac <= 1.0):
-            raise ValueError("fractions must lie in (0, 1]")
         p_f = p_r.with_values(p_r.values + (1.0 - frac) * g_r.values)
         g_f = g_r.with_values(frac * g_r.values)
         for params in methods:

@@ -16,6 +16,9 @@ from the generation signature:
   C  -- joint quadratic fit with L held constant on fixed-length blocks.
   D  -- band-pass both sides so only cloud-band fluctuations remain, then
         a bisquare-weighted robust regression on the filtered signals.
+
+Estimators take starts, the first sample of every segment (by default
+one segment); nothing they fit crosses a segment start.  fit sets them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,13 +140,14 @@ def _check_bank(p: TimeSeries, bank: PlaneBank) -> None:
             "series and plane bank are not on the same sampling grid")
 
 
-def _segment_starts(k: int, segment_length: Optional[int]) -> np.ndarray:
-    """First sample of every segment; None means one contiguous segment."""
-    if segment_length is None or segment_length >= k:
-        return np.zeros(1, dtype=int)
-    if segment_length < 2:
+def _segment_starts(p: TimeSeries, length: Optional[int]) -> np.ndarray:
+    """First sample of every segment of p, by fit's rule."""
+    k, spd = len(p), p.samples_per_day
+    if length is None:
+        length = spd if k > spd and k % spd == 0 else k
+    if length < min(k, 2):
         raise ValueError("segment_length must be at least 2")
-    return np.arange(0, k, segment_length)
+    return np.arange(0, k, length)  # [0] when length >= k
 
 
 def predict_generation(alpha: CapacityVector, bank: PlaneBank) -> TimeSeries:
@@ -167,10 +171,10 @@ def _clip_alpha(raw: np.ndarray, tol: float = 1e-5) -> np.ndarray:
 
 def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
                  mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None) -> CapacityVector:
+                 starts: Sequence[int] = (0,)) -> CapacityVector:
     """L1 fit on first differences: min sum_k |dP_k + dG_k(alpha)|.
 
-    Difference pairs never straddle a segment boundary, and with a mask
+    Difference pairs never straddle a segment start, and with a mask
     only pairs whose both endpoints are kept contribute.  optim.solve_lp
     solves the fit through its dual LP  max dP'u  s.t. |u| <= 1, C'u >= 0
     (C the column-scaled differenced bank), whose one row per plane
@@ -184,7 +188,7 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
     if k < j + 1:
         raise ValueError(f"need at least {j + 1} samples for {j} planes")
 
-    pairs = np.setdiff1d(np.arange(1, k), _segment_starts(k, segment_length))
+    pairs = np.setdiff1d(np.arange(1, k), starts)
     if mask is not None:
         pairs = pairs[np.logical_and(mask[pairs - 1], mask[pairs])]
     if pairs.size == 0:
@@ -282,11 +286,11 @@ def _block_demand(starts: np.ndarray, k: int):
 
 
 def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
-                 segment_length: Optional[int] = None):
+                 starts: Sequence[int] = (0,)):
     """Joint (L, alpha) quadratic fit with a total-variation penalty on L.
 
     Objective: sum (P - (L - G))^2 + lam * sum |L_{i+1} - L_i|, with
-    L >= 0 and alpha >= 0; differences never straddle a segment boundary.
+    L >= 0 and alpha >= 0; differences never straddle a segment start.
     For fixed alpha the best L is the total-variation prox of P + G with
     weight lam/2, clipped at zero (solve_l1_trend_qp).  Returns
     (capacities, demand trajectory).
@@ -294,29 +298,26 @@ def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
     _check_bank(p, bank)
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    k = len(p)
     if lam == 0:
         # L is free per sample, as in C with c = 1.  The trend solver would
         # give the same L, but its runs merge equal neighbours, which puts
         # the Newton step on the wrong piece of the envelope.
-        demand = _block_demand(np.arange(k), k)
+        demand = _block_demand(np.arange(len(p)), len(p))
     else:
-        seg_starts = _segment_starts(k, segment_length)
         mu = lam / 2.0  # the fit's 0.5 |L - y|^2 halves the stated ratio
 
         def demand(y):
-            l, tv = solve_l1_trend_qp(y, mu, seg_starts)
-            starts = np.union1d(seg_starts,
-                                np.flatnonzero(l[1:] != l[:-1]) + 1)
-            return l, starts, mu * tv
+            l, tv = solve_l1_trend_qp(y, mu, starts)
+            runs = np.union1d(starts, np.flatnonzero(l[1:] != l[:-1]) + 1)
+            return l, runs, mu * tv
     return _fit_envelope(p, bank, demand)
 
 
 def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
-                 segment_length: Optional[int] = None):
+                 starts: Sequence[int] = (0,)):
     """Joint (L, alpha) quadratic fit with L constant on length-c blocks.
 
-    Blocks restart at every segment boundary; a trailing shorter block is
+    Blocks restart at every segment start; a trailing shorter block is
     constrained the same way.  For fixed alpha the best level of each
     block is its mean of P + G, clipped at zero.  c = 1 leaves L free per
     sample (the fit is then an interpolation with zero residual and the
@@ -327,41 +328,37 @@ def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
     if c < 1:
         raise ValueError("c must be a positive integer")
     k = len(p)
-    seg = _segment_starts(k, segment_length)
-    offset = np.arange(k) - np.repeat(seg, np.diff(seg, append=k))
-    starts = np.flatnonzero(offset % c == 0)  # block starts
-    return _fit_envelope(p, bank, _block_demand(starts, k))
+    offset = np.arange(k) - np.repeat(starts, np.diff(starts, append=k))
+    blocks = np.flatnonzero(offset % c == 0)  # block starts
+    return _fit_envelope(p, bank, _block_demand(blocks, k))
 
 
 def fit_method_d(p: TimeSeries, bank: PlaneBank,
                  f_low: float, f_high: float, tuning: float = 4.685, *,
                  mask: Optional[np.ndarray] = None,
-                 segment_length: Optional[int] = None) -> CapacityVector:
+                 starts: Sequence[int] = (0,)) -> CapacityVector:
     """Band-pass both sides, then robust-regress P on the filtered bank.
 
-    Filtering runs independently on each contiguous segment (so day
-    boundaries never leak through the filter); the mask is applied to the
-    filtered samples afterwards.  In the pass band the demand is
-    attenuated away and P ~ -G, hence the design matrix -I_filtered/1000;
-    the robust regression works on its J x J weighted Gram
-    (optim.irls_bisquare).
+    Filtering runs independently on each segment (so day boundaries
+    never leak through the filter), in one call per segment length; the
+    mask is applied to the filtered samples afterwards.  In the pass band
+    the demand is attenuated away and P ~ -G, hence the design matrix
+    -I_filtered/1000; the robust regression works on its J x J weighted
+    Gram (optim.irls_bisquare).
     """
     _check_bank(p, bank)
     k, j = len(p), bank.n_planes
     filt = dsp.design_bandpass(f_low, f_high, 1.0 / p.period)
 
-    seg_starts = _segment_starts(k, segment_length)
-    length = seg_starts[1] if seg_starts.size > 1 else k
-    body = k - k % length  # samples in full-length segments
+    lengths = np.diff(starts, append=k)
+    # one (segments, length) index array per distinct segment length
+    groups = [np.compress(lengths == n, starts)[:, None] + np.arange(n)
+              for n in np.unique(lengths)]
 
     def filtered(series):
-        # one call filters all full-length segments as rows, and a
-        # shorter tail segment gets a call of its own
         out = np.empty(k)
-        out[:body] = dsp.apply_array(
-            filt, series[:body].reshape(-1, length)).ravel()
-        if body < k:
-            out[body:] = dsp.apply_array(filt, series[body:])
+        for rows in groups:
+            out[rows] = dsp.apply_array(filt, series[rows])
         return out
 
     # only the kept rows of the design are stored, one column at a time
@@ -393,9 +390,12 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
         segment_length: Optional[int] = None):
     """Dispatch a fit by MethodParams.
 
-    The night mask (daylight True) is honored by the difference and
-    band-pass methods only; the joint quadratic fits B and C keep the full
-    grid because their demand block needs the night samples to anchor L.
+    P is cut every segment_length samples or, with None (as the CLI and
+    the sweeps fit), at every day when it covers two or more whole days,
+    and the estimator gets the segment starts.  The night mask (daylight
+    True) is honored by the difference and band-pass methods only; the
+    joint quadratic fits B and C keep the full grid because their demand
+    block needs the night samples to anchor L.
     Returns (CapacityVector, demand TimeSeries or None, wall seconds); the
     seconds, the package's one clock, time the whole estimator (filter
     design, filtering, assembly and solve) and are also report.wall_time.
@@ -407,20 +407,17 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     if params.method == "D":
         importlib.import_module("scipy.signal")
     t0 = time.perf_counter()
+    starts = _segment_starts(p, segment_length)
     l_hat = None
     if params.method == "A":
-        cap = fit_method_a(p, bank, mask=night_mask,
-                           segment_length=segment_length)
+        cap = fit_method_a(p, bank, mask=night_mask, starts=starts)
     elif params.method == "B":
-        cap, l_hat = fit_method_b(p, bank, params.lam,
-                                  segment_length=segment_length)
+        cap, l_hat = fit_method_b(p, bank, params.lam, starts=starts)
     elif params.method == "C":
-        cap, l_hat = fit_method_c(p, bank, int(params.c),
-                                  segment_length=segment_length)
+        cap, l_hat = fit_method_c(p, bank, int(params.c), starts=starts)
     else:
         cap = fit_method_d(p, bank, params.f_low, params.f_high,
-                           params.irls_tuning, mask=night_mask,
-                           segment_length=segment_length)
+                           params.irls_tuning, mask=night_mask, starts=starts)
     cap.report.wall_time = time.perf_counter() - t0
     return cap, l_hat, cap.report.wall_time
 

@@ -335,7 +335,7 @@ def solve_l1_trend_qp(y, lam: float, starts):
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     x = np.array(y, dtype=float)
-    ends = np.append(starts[1:], x.size)
+    ends = np.append(starts, x.size)[1:]
     for a, b in zip(starts, ends):
         if b - a > 1:
             x[a:b] = _tv_prox(x[a:b].tolist(), lam)

@@ -427,18 +427,31 @@ def test_sweep_penetration_mode(tmp_path):
     assert float(first[2]) == pytest.approx(35.3)
 
 
-@pytest.mark.parametrize("methods, resolutions, message", [
-    ([{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
-                        "f_high_hz": 0.0008}, {"method": "C"}],
-     [300, 900], "method C needs c"),
+_A_AND_D = [{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
+                             "f_high_hz": 0.0008}]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"methods": _A_AND_D + [{"method": "C"}], "resolutions_s": [300, 900]},
+     "method C needs c"),
     # the band fits at 300 s but lies above the Nyquist rate at 900 s
-    ([{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
-                        "f_high_hz": 0.0008}, {"method": "C", "c": 30}],
-     [300, 900], "f_low < f_high < rate/2"),
-    ([{"method": "A"}], [300, 450], "450 s is not a multiple of 300 s"),
-], ids=["last-entry", "last-resolution", "not-a-multiple"])
+    ({"methods": _A_AND_D + [{"method": "C", "c": 30}],
+      "resolutions_s": [300, 900]}, "f_low < f_high < rate/2"),
+    ({"methods": [{"method": "A"}], "resolutions_s": [300, 450]},
+     "450 s is not a multiple of 300 s"),
+    ({"methods": [{"method": "A"}], "resolutions_s": [300, 2100]},
+     "2100 s is not a multiple of 300 s that divides one day"),
+    ({"methods": [{"method": "A"}], "mode": "penetration",
+      "fractions": [1.0, 0.5, 2.0]}, "fractions must lie in (0, 1]"),
+    # a one-day band: its settling time pads more than a day at 300 s
+    ({"methods": [{"method": "A"}, {"method": "D",
+                                    "f_low_hz": 1.1574074074074073e-05,
+                                    "f_high_hz": 0.00025}],
+      "resolutions_s": [300]}, "edge padding (291 samples)"),
+], ids=["last-entry", "last-resolution", "not-a-multiple",
+        "not-a-day-divisor", "fraction-above-one", "padding-over-a-day"])
 def test_sweep_checks_the_whole_grid_before_any_fit(
-        tmp_path, capsys, monkeypatch, methods, resolutions, message):
+        tmp_path, capsys, monkeypatch, config, message):
     """A grid point any of whose fits would be refused exits 2 before the
     scenario is built, not after the fits listed before it."""
     calls = []
@@ -450,8 +463,7 @@ def test_sweep_checks_the_whole_grid_before_any_fit(
     monkeypatch.setattr(evaluation, "fit", counting_fit)
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(yaml.safe_dump({
-        "scenario": {"days": 3, "period_s": 300}, "methods": methods,
-        "resolutions_s": resolutions}))
+        "scenario": {"days": 3, "period_s": 300}, **config}))
     assert main(["sweep", "--config", str(cfg),
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err

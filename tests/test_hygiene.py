@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Five rules: a module uses every name it imports (``__init__.py`` is
+Six rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -8,8 +8,10 @@ exception class in ``errors.py`` is raised somewhere in the package, or
 is a base class of one that is, so the taxonomy holds no dead types;
 every private module-level name (one underscore, not a dunder) is read
 somewhere in the package, so no helper or constant outlives its caller;
-and only ``methods.fit`` reads ``perf_counter``, so every reported time
-of a fit is one reading of one clock.
+only ``methods.fit`` reads ``perf_counter``, so every reported time
+of a fit is one reading of one clock; and no function has a list, dict or
+set, or a call, as a default, since such a default is built once, shared
+by every call, and mutable (sequence defaults are tuples).
 """
 
 import ast
@@ -129,6 +131,24 @@ def clock_reads(tree) -> list:
     return found
 
 
+_BUILT_DEFAULTS = (ast.List, ast.Dict, ast.Set, ast.Call, ast.ListComp,
+                   ast.DictComp, ast.SetComp)
+
+
+def built_defaults(tree) -> list:
+    """Every default of a function or lambda in tree that is a list, dict
+    or set display or comprehension, or a call."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            name = getattr(func, "name", "<lambda>")
+            found += [f"{name} (line {d.lineno})"
+                      for d in func.args.defaults + func.args.kw_defaults
+                      if isinstance(d, _BUILT_DEFAULTS)]
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -155,6 +175,10 @@ def test_only_fit_reads_the_clock():
     reads = {p.name: clock_reads(_tree(p)) for p in MODULES}
     assert {r.split()[0] for r in reads.pop("methods.py")} == {"fit"}
     assert sum(reads.values(), []) == []
+
+
+def test_no_default_is_built_once_and_shared():
+    assert sum((built_defaults(_tree(p)) for p in MODULES), []) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -185,3 +209,8 @@ def test_checks_catch_what_they_forbid():
                        "    def step():\n        return perf_counter()\n"
                        "    return step() - T0\n")
     assert clock_reads(clocks) == ["<module> (line 2)", "step (line 6)"]
+    defaults = ast.parse("def f(a=(), b=None, *, c=[], d={1: 2}):\n"
+                         "    g = lambda x=set(): x\n    return g\n"
+                         "def h(e=(0,), f=list(range(3))):\n    pass\n")
+    assert built_defaults(defaults) == [
+        "f (line 1)", "f (line 1)", "h (line 4)", "<lambda> (line 2)"]

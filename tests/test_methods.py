@@ -193,9 +193,9 @@ def test_method_a_reaches_the_epigraph_optimum(seed, j, k, seg, keep):
     if pairs.size == 0:
         with pytest.raises(ValueError):
             fit_method_a(ts(p_vals, 300), bank, mask=mask,
-                         segment_length=seg)
+                         starts=sorted(cuts))
         return
-    cap = fit_method_a(ts(p_vals, 300), bank, mask=mask, segment_length=seg)
+    cap = fit_method_a(ts(p_vals, 300), bank, mask=mask, starts=sorted(cuts))
     dp = p_vals[pairs] - p_vals[pairs - 1]
     dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T / 1e3
     best = l1_oracle(dp, dm)
@@ -399,30 +399,40 @@ def test_method_d_filters_each_segment_on_its_own():
     swap = np.r_[kd:2 * kd, 0:kd]
     swapped = PlaneBank(bank.planes, bank.irradiance[:, swap], START, 30)
     alpha = [fit_method_d(ts(p, 30), b, 1 / 600, 1 / 120,
-                          segment_length=kd).alpha
+                          starts=(0, kd)).alpha
              for p, b in ((p_vals, bank), (p_vals[swap], swapped))]
     assert np.max(np.abs(alpha[0] - alpha[1])) <= 1e-9
 
 
 def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
-    """D filters a column's full-length segments as the rows of one call
-    and a shorter tail segment on its own; every segment comes out bit for
-    bit as filtering it alone would give."""
-    k, length = 2 * 2880 + 1500, 2880
+    """D filters each column's segments of one length as the rows of one
+    call, so segments of three lengths, equal ones not adjacent, take
+    three calls per column; every segment comes out bit for bit as
+    filtering it alone would give."""
+    starts = (0, 2880, 4380, 7260)  # lengths 2880, 1500, 2880, 1000
+    k = 8260
     bank = textured_bank(k, 30)
     p_vals = (np.random.default_rng(22).normal(5.0, 1.0, k)
               - 1.2 * bank.irradiance[0] / 1000.0)
-    seen = {}
+    seen, calls = {}, []
+    real_apply = dsp.apply_array
 
     def capture(x_mat, y, **_):
         seen.update(x=x_mat.copy(), y=y.copy())
         return np.zeros(x_mat.shape[1]), SolverReport()
 
+    def counted_apply(filt, values):
+        calls.append(np.shape(values))
+        return real_apply(filt, values)
+
     monkeypatch.setattr(methods, "irls_bisquare", capture)
-    fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120,
-                 segment_length=length)
+    monkeypatch.setattr(dsp, "apply_array", counted_apply)
+    fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120, starts=starts)
+    monkeypatch.undo()
+    assert sorted(calls[:3]) == [(1, 1000), (1, 1500), (2, 2880)]
+    assert len(calls) == 3 * (1 + bank.n_planes)
     filt = dsp.design_bandpass(1 / 600, 1 / 120, 1 / 30)
-    for a, b in ((0, length), (length, 2 * length), (2 * length, k)):
+    for a, b in zip(starts, starts[1:] + (k,)):
         assert np.array_equal(seen["y"][a:b],
                               dsp.apply_array(filt, p_vals[a:b]))
         for jj in range(bank.n_planes):
@@ -432,10 +442,10 @@ def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
 
 
 def test_method_d_solves_the_filter_steady_state_once(monkeypatch):
-    """A D fit over three segments (two stacked, one tail) works out the
-    sections' steady state once, at design, and never calls sosfiltfilt,
-    which would solve for it again on every one of the fit's filter
-    calls."""
+    """A D fit over three segments (two of one length, one shorter) works
+    out the sections' steady state once, at design, and never calls
+    sosfiltfilt, which would solve for it again on every one of the fit's
+    filter calls."""
     calls = []
     real_zi = signal.sosfilt_zi
 
@@ -450,7 +460,7 @@ def test_method_d_solves_the_filter_steady_state_once(monkeypatch):
     monkeypatch.setattr(signal, "sosfiltfilt", refused)
     bank, alpha_true, p_vals = _separated_instance(kd=2 * 2880 + 1500)
     cap = fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120,
-                       segment_length=2880)
+                       starts=(0, 2880, 5760))
     assert len(calls) == 1
     assert rel_err(cap.alpha, alpha_true) < 1e-6
 
@@ -555,7 +565,7 @@ def test_method_c_matches_full_nnls_on_a_sweep_fold():
                           for d in train_days])
     p_tr = TimeSeries(p_r.start_epoch, 30, p_r.values[idx], UNIT_KW)
     bank_tr = data.bank.resampled(30).sliced(idx, start_epoch=p_r.start_epoch)
-    cap, _ = fit_method_c(p_tr, bank_tr, 10, segment_length=2880)
+    cap, _ = fit_method_c(p_tr, bank_tr, 10)
     ref = _c_oracle(p_tr.values, bank_tr, 10, 2880)
     assert cap.report.converged
     assert abs(ref.sum() - 42.0) < 0.05
@@ -571,7 +581,7 @@ def test_method_b_certified_where_demand_clips_at_zero():
               + 0.2 * rng.standard_normal(288))
     p_vals = l_true - alpha_true @ bank.irradiance / 1000.0
     cap, l_hat = fit_method_b(ts(p_vals, 300), bank, lam=2.0,
-                              segment_length=144)
+                              starts=(0, 144))
     assert np.any(l_hat.values == 0.0)
     obj, cert = _b_envelope(p_vals, bank, cap.alpha, 2.0, 144)
     assert cap.report.converged
@@ -592,7 +602,8 @@ def test_method_c_equals_full_nnls(seed, c, j, seg):
     levels = np.repeat(rng.uniform(-3.0, 4.0, -(-k // c)), c)[:k]
     p_vals = (levels + 0.3 * rng.standard_normal(k)
               - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
-    cap, _ = fit_method_c(ts(p_vals, 300), bank, c, segment_length=seg)
+    cap, _ = fit_method_c(ts(p_vals, 300), bank, c,
+                          starts=np.arange(0, k, seg or k))
     ref = _c_oracle(p_vals, bank, c, seg or k)
     assert cap.report.converged
     assert np.max(np.abs(cap.alpha - ref)) <= 1e-7 * (1.0 + np.max(ref))
@@ -611,7 +622,7 @@ def test_method_b_certified_and_unbeaten(seed, lam, j):
     p_vals = (np.repeat(rng.uniform(-2.0, 4.0, 6), 10)
               + 0.2 * rng.standard_normal(k)
               - rng.uniform(0.0, 3.0, j) @ bank.irradiance / 1000.0)
-    cap, _ = fit_method_b(ts(p_vals, 300), bank, lam, segment_length=seg)
+    cap, _ = fit_method_b(ts(p_vals, 300), bank, lam, starts=(0, seg))
     obj, cert = _b_envelope(p_vals, bank, cap.alpha, lam, seg)
     assert cap.report.converged
     assert cert <= 1e-6
@@ -640,6 +651,28 @@ def test_fit_returns_demand_only_for_joint_methods():
             assert isinstance(l_hat, TimeSeries)
         else:
             assert l_hat is None
+
+
+@pytest.mark.parametrize("params", [
+    MethodParams("A", 60), MethodParams("B", 60, lam=5.0),
+    MethodParams("C", 60, c=50),
+    MethodParams("D", 60, f_low=1 / 1200, f_high=1 / 240)],
+    ids=["A", "B", "C", "D"])
+def test_fit_cuts_two_whole_days_at_the_day_by_default(params):
+    """Without segment_length, fit cuts a series of two whole days at the
+    day, as the CLI and the sweeps do: each method's fit is bit for bit
+    the one with a day's segment_length.  The bank never goes dark and
+    demand steps at midnight, so a pair, trend, block or filter run
+    across the cut would change every method's answer."""
+    bank = textured_bank(2880, 60)
+    bank = PlaneBank(bank.planes, bank.irradiance + 100.0, START, 60)
+    p_vals = (np.repeat(np.random.default_rng(5).uniform(2.0, 9.0, 48), 60)
+              - np.array([1.5, 0.0, 2.5, 0.8]) @ bank.irradiance / 1000.0)
+    cap, l_hat, _ = fit(ts(p_vals, 60), bank, params)
+    day, l_day, _ = fit(ts(p_vals, 60), bank, params, segment_length=1440)
+    assert np.array_equal(cap.alpha, day.alpha)
+    if l_day is not None:
+        assert np.array_equal(l_hat.values, l_day.values)
 
 
 def test_fit_mask_policy():
