@@ -16,11 +16,11 @@ import json
 import os
 import sys
 
-import numpy as np
 import yaml
 
 from . import __version__, dsp
-from .errors import DisaggError, InputError, SolverError, config_number
+from .errors import (DisaggError, InputError, SolverError, config_keys,
+                     config_mappings, config_number)
 from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, check_fractions,
                          compute_metrics, generate_scenario,
                          penetration_experiment, run_cv)
@@ -32,9 +32,11 @@ from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
 
 _PARAM_KEYS = {  # YAML key -> MethodParams field
     "lam": "lam", "c": "c", "f_low_hz": "f_low", "f_high_hz": "f_high",
-    "irls_tuning": "irls_tuning",
     "night_threshold_w_per_m2": "night_threshold",
 }
+_SWEEP_KEYS = ("scenario", "methods", "mode", "fold_seed")
+_MODE_KEYS = {"cv": ("resolutions_s",),
+              "penetration": ("fractions", "penetration_resolution_s")}
 
 
 def _config_hash(cfg) -> str:
@@ -136,7 +138,6 @@ def _method_params_from_args(args, period: int) -> MethodParams:
         lam=args.lam, c=args.c,
         f_low=_cutoff_hz(args.f_low_hz, args.f_low_s, "--f-low"),
         f_high=_cutoff_hz(args.f_high_hz, args.f_high_s, "--f-high"),
-        irls_tuning=args.irls_tuning,
         night_threshold=args.night_threshold)
 
 
@@ -180,14 +181,30 @@ def cmd_fit(args) -> int:
     return 0 if report.converged else 3
 
 
+def _load_model(path):
+    """(document, capacities) of a model file that fit wrote; any other
+    content raises InputError naming the file and the key."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a mapping at top level")
+    bank, alpha = doc.get("bank"), doc.get("alpha_kwp")
+    if not isinstance(bank, dict) or not isinstance(
+            bank.get("geometry_hash"), str):
+        raise InputError(f"{path}: bank: expected a mapping with a "
+                         f"geometry_hash, got {bank!r}")
+    if not isinstance(alpha, list):
+        raise InputError(f"{path}: alpha_kwp: expected a list, got {alpha!r}")
+    return doc, CapacityVector(
+        [config_number(a, f"{path}: alpha_kwp") for a in alpha],
+        bank["geometry_hash"])
+
+
 def cmd_disaggregate(args) -> int:
-    with open(args.model) as fh:
-        model_doc = json.load(fh)
+    model_doc, alpha = _load_model(args.model)
     *_, bank = _site_bank(args)
     p = ingest_csv(args.p, UNIT_KW)
 
-    alpha = CapacityVector(np.asarray(model_doc["alpha_kwp"], float),
-                           model_doc["bank"]["geometry_hash"])
     result = disaggregate(p, alpha, bank)
     worst = result.report.notes["identity_max_abs_error_kw"]
     violations = result.report.notes["identity_violations"]
@@ -230,14 +247,11 @@ def _numbers(value, key: str, integer: bool = False) -> list:
 def _expand_methods(entries) -> list:
     """Sweep config -> grid of MethodParams; list-valued keys fan out."""
     grid = []
-    for entry in entries:
-        entry = dict(entry)
+    for entry in config_mappings(entries, "methods"):
+        entry = dict(config_keys(entry, ("method", *_PARAM_KEYS), "method"))
         method = entry.pop("method", None)
         if method not in ("A", "B", "C", "D"):
             raise InputError(f"bad or missing method in {entry}")
-        unknown = set(entry) - set(_PARAM_KEYS)
-        if unknown:
-            raise InputError(f"unknown method keys: {sorted(unknown)}")
         # only c is an integer
         options = {_PARAM_KEYS[k]: _numbers(v, k, k == "c")
                    for k, v in entry.items()}
@@ -249,6 +263,10 @@ def _expand_methods(entries) -> list:
 
 def cmd_sweep(args) -> int:
     cfg = _load_yaml(args.config)
+    mode = cfg.get("mode", "cv")
+    if mode not in ("cv", "penetration"):
+        raise InputError(f"unknown sweep mode {mode!r}")
+    config_keys(cfg, _SWEEP_KEYS + _MODE_KEYS[mode], f"{mode} sweep")
     scen = cfg.get("scenario")
     if not isinstance(scen, dict):
         raise InputError("sweep config needs an inline 'scenario' mapping")
@@ -257,19 +275,16 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise InputError("sweep config lists no methods")
     fold_seed = config_number(cfg.get("fold_seed", 0), "fold_seed", True)
-    mode = cfg.get("mode", "cv")
     if mode == "cv":
         resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
                                "resolutions_s", True)
-    elif mode == "penetration":
+    else:
         fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
                              "fractions")
         check_fractions(fractions)
         res = cfg.get("penetration_resolution_s")
         resolutions = [spec.period_s if res is None else
                        config_number(res, "penetration_resolution_s", True)]
-    else:
-        raise InputError(f"unknown sweep mode {mode!r}")
     # refuse the sweep before any work when one of its fits would: every
     # grid point at every resolution gets the checks its whole-day fit runs
     for res, params in itertools.product(resolutions, grid):
@@ -378,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="low cutoff as a period instead of a frequency")
     p.add_argument("--f-high-s", type=float, default=None, metavar="SECONDS",
                    help="high cutoff as a period instead of a frequency")
-    p.add_argument("--irls-tuning", type=float, default=4.685)
     p.add_argument("--night-threshold", type=float, default=5.0,
                    metavar="W_PER_M2")
     p.add_argument("--no-night-mask", action="store_true",

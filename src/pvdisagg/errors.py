@@ -60,13 +60,17 @@ class BankMismatchError(InputError):
 
 def config_number(value, key: str, integer: bool = False):
     """A config value as a float (an int when integer is set); numeric
-    strings convert, anything else raises InputError naming the key."""
+    strings convert, anything else (a YAML boolean included) raises
+    InputError naming the key."""
+    bad = InputError(f"{key}: expected a number, got {value!r}")
+    if isinstance(value, bool):  # YAML's true/false, yes/no, on/off
+        raise bad
     if integer and isinstance(value, int):
         return value
     try:
         number = float(value)
     except (TypeError, ValueError):
-        raise InputError(f"{key}: expected a number, got {value!r}") from None
+        raise bad from None
     if integer and not number.is_integer():
         raise InputError(f"{key}: expected an integer, got {value!r}")
     return int(number) if integer else number
@@ -80,6 +84,15 @@ def config_mappings(value, key: str) -> list:
         raise InputError(
             f"{key}: expected a list of mappings, got {value!r}")
     return value
+
+
+def config_keys(mapping: dict, known, what: str) -> dict:
+    """mapping itself when every key is in known; otherwise ValueError
+    naming the unknown keys as ``what`` keys."""
+    unknown = set(mapping) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(map(str, unknown))}")
+    return mapping
 
 
 # --- solver errors --------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import config_mappings, config_number
+from .errors import InputError, config_keys, config_mappings, config_number
 from .methods import MethodParams, fit, predict_generation
 from .solar import (PlaneBank, PlaneConfig, SiteConfig, build_bank,
                     clearsky_ghi, default_bank, sun_position)
@@ -81,6 +81,8 @@ DEFAULT_PLANT = (
 )
 
 _CLOUD_KINDS = ("clear", "partly", "overcast")
+_PLANT_KEYS = ("tilt", "azimuth", "kwp")
+_ACTUATION_S = 300  # storage setpoints hold for windows this long
 
 
 @dataclass
@@ -106,7 +108,6 @@ class ScenarioSpec:
     self_consumption: bool = False
     battery_kva: float = 12.0
     battery_kwh: float = 26.4
-    actuation_s: int = 300
     cloud_kinds: Optional[tuple] = None  # per-day override of the mix
     seed: int = 0
 
@@ -136,30 +137,34 @@ class ScenarioSpec:
             raise ValueError(
                 "cycle_period_s must give a half-cycle that is a multiple "
                 "of period_s")
-        if self.self_consumption:
-            if self.actuation_s != 300:
-                raise ValueError(
-                    "storage control runs on fixed 300 s actuation windows")
-            if self.actuation_s % self.period_s:
-                raise ValueError(
-                    "actuation_s must be a multiple of period_s")
+        if self.self_consumption and _ACTUATION_S % self.period_s:
+            raise ValueError(f"period_s must divide the {_ACTUATION_S} s "
+                             "storage actuation window")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-        d = dict(d)
-        for f in dataclasses.fields(cls):
+        fields = dataclasses.fields(cls)
+        d = dict(config_keys(d, [f.name for f in fields], "scenario"))
+        for f in fields:
             if f.name in d and f.type in ("float", "int"):
                 d[f.name] = config_number(d[f.name], f.name, f.type == "int")
+            elif f.name in d and f.type == "bool" and not isinstance(
+                    d[f.name], bool):
+                raise InputError(
+                    f"{f.name}: expected true or false, got {d[f.name]!r}")
         if "plant" in d:
+            plant = config_mappings(d["plant"], "plant")
+            for p in plant:
+                config_keys(p, _PLANT_KEYS, "plant")
             d["plant"] = tuple({k: config_number(p.get(k), f"plant {k}")
-                                for k in ("tilt", "azimuth", "kwp")}
-                               for p in config_mappings(d["plant"], "plant"))
-        if d.get("cloud_kinds") is not None:
-            d["cloud_kinds"] = tuple(d["cloud_kinds"])
+                                for k in _PLANT_KEYS} for p in plant)
+        kinds = d.get("cloud_kinds")
+        if kinds is not None:
+            if not isinstance(kinds, (list, tuple)) or not all(
+                    isinstance(k, str) for k in kinds):
+                raise InputError(
+                    f"cloud_kinds: expected a list of kinds, got {kinds!r}")
+            d["cloud_kinds"] = tuple(kinds)
         spec = cls(**d)
         spec.validate()
         return spec
@@ -269,7 +274,7 @@ def _battery_series(spec: ScenarioSpec, g: np.ndarray,
                     l: np.ndarray) -> np.ndarray:
     """Greedy self-consumption dispatch, consumption-positive kW.
 
-    Setpoints are held for a whole 300 s actuation window and chosen from
+    Setpoints are held for a whole _ACTUATION_S window and chosen from
     the instantaneous surplus at the window start: charge on PV surplus,
     discharge to cover deficit, clamped by rating and state of charge.
     """
@@ -277,7 +282,7 @@ def _battery_series(spec: ScenarioSpec, g: np.ndarray,
     batt = np.zeros(n)
     if not spec.self_consumption:
         return batt
-    act = spec.actuation_s // spec.period_s
+    act = _ACTUATION_S // spec.period_s
     soc = spec.battery_kwh / 2.0
     for k0 in range(0, n, act):
         k1 = min(k0 + act, n)

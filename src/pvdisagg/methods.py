@@ -57,6 +57,7 @@ _NEWTON_RIDGE = 1e-12
 _MAX_NEWTON_STEPS = 100
 _ARMIJO = 1e-4             # sufficient-decrease fraction of the backtracking
 _MIN_STEP = 1e-12
+_CLIP_TOL = 1e-5  # relative negative capacity _clip_alpha rounds to zero
 
 
 @dataclass
@@ -79,6 +80,10 @@ class CapacityVector:
         return float(self.alpha.sum())
 
 
+# the parameters each method reads; it refuses the others'
+_OWN_PARAMS = {"A": (), "B": ("lam",), "C": ("c",), "D": ("f_low", "f_high")}
+
+
 @dataclass
 class MethodParams:
     """Method selector plus everything a fit needs besides the data."""
@@ -89,12 +94,17 @@ class MethodParams:
     c: Optional[int] = None  # required by C
     f_low: Optional[float] = None
     f_high: Optional[float] = None
-    irls_tuning: float = 4.685
     night_threshold: float = 5.0
 
     def validate(self) -> None:
         if self.method not in ("A", "B", "C", "D"):
             raise ValueError(f"unknown method {self.method!r}")
+        foreign = [name for name in ("lam", "c", "f_low", "f_high")
+                   if getattr(self, name) is not None
+                   and name not in _OWN_PARAMS[self.method]]
+        if foreign:
+            raise ValueError(
+                f"method {self.method} takes no {', '.join(foreign)}")
         if self.sampling_period <= 0:
             raise ValueError("sampling_period must be positive")
         if self.method == "B" and (self.lam is None or self.lam < 0):
@@ -108,8 +118,6 @@ class MethodParams:
                 raise ValueError("method D needs f_low and f_high")
             if not (0.0 < self.f_low < self.f_high):
                 raise ValueError("need 0 < f_low < f_high")
-            if self.irls_tuning <= 0:
-                raise ValueError("irls_tuning must be positive")
 
     def to_dict(self) -> dict:
         out = {"method": self.method,
@@ -119,8 +127,7 @@ class MethodParams:
         if self.method == "C":
             out["c"] = int(self.c)
         if self.method == "D":
-            out.update(f_low=self.f_low, f_high=self.f_high,
-                       irls_tuning=self.irls_tuning)
+            out.update(f_low=self.f_low, f_high=self.f_high)
         out["night_threshold"] = self.night_threshold
         return out
 
@@ -144,7 +151,7 @@ def _segment_starts(p: TimeSeries, length: Optional[int]) -> np.ndarray:
     """First sample of every segment of p, by fit's rule."""
     k, spd = len(p), p.samples_per_day
     if length is None:
-        length = spd if k > spd and k % spd == 0 else k
+        length = spd if 2 <= spd < k and k % spd == 0 else k
     if length < min(k, 2):
         raise ValueError("segment_length must be at least 2")
     return np.arange(0, k, length)  # [0] when length >= k
@@ -162,8 +169,8 @@ def predict_generation(alpha: CapacityVector, bank: PlaneBank) -> TimeSeries:
     return TimeSeries(bank.start_epoch, bank.period, g, UNIT_KW)
 
 
-def _clip_alpha(raw: np.ndarray, tol: float = 1e-5) -> np.ndarray:
-    if np.any(raw < -tol * max(1.0, float(np.max(np.abs(raw), initial=0.0)))):
+def _clip_alpha(raw: np.ndarray) -> np.ndarray:
+    if np.any(raw < -_CLIP_TOL * max(1.0, np.max(np.abs(raw), initial=0.0))):
         raise AssertionError(
             f"solver returned a significantly negative capacity: {raw}")
     return np.clip(raw, 0.0, None)
@@ -334,7 +341,7 @@ def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
 
 
 def fit_method_d(p: TimeSeries, bank: PlaneBank,
-                 f_low: float, f_high: float, tuning: float = 4.685, *,
+                 f_low: float, f_high: float, *,
                  mask: Optional[np.ndarray] = None,
                  starts: Sequence[int] = (0,)) -> CapacityVector:
     """Band-pass both sides, then robust-regress P on the filtered bank.
@@ -381,7 +388,7 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
             "numerically zero); widen [f_low, f_high]")
     if keep.size < j + 1:
         raise ValueError("not enough usable samples for the fit")
-    alpha, report = irls_bisquare(x_mat, y, tuning=tuning)
+    alpha, report = irls_bisquare(x_mat, y)
     return CapacityVector(_clip_alpha(alpha), bank.geometry_hash, report)
 
 
@@ -391,11 +398,12 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     """Dispatch a fit by MethodParams.
 
     P is cut every segment_length samples or, with None (as the CLI and
-    the sweeps fit), at every day when it covers two or more whole days,
-    and the estimator gets the segment starts.  The night mask (daylight
-    True) is honored by the difference and band-pass methods only; the
-    joint quadratic fits B and C keep the full grid because their demand
-    block needs the night samples to anchor L.
+    the sweeps fit), at every day when it covers two or more whole days
+    of at least two samples each, and the estimator gets the segment
+    starts.  The night mask (daylight True) is honored by the difference
+    and band-pass methods only; the joint quadratic fits B and C keep the
+    full grid because their demand block needs the night samples to
+    anchor L.
     Returns (CapacityVector, demand TimeSeries or None, wall seconds); the
     seconds, the package's one clock, time the whole estimator (filter
     design, filtering, assembly and solve) and are also report.wall_time.
@@ -417,7 +425,7 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
         cap, l_hat = fit_method_c(p, bank, int(params.c), starts=starts)
     else:
         cap = fit_method_d(p, bank, params.f_low, params.f_high,
-                           params.irls_tuning, mask=night_mask, starts=starts)
+                           mask=night_mask, starts=starts)
     cap.report.wall_time = time.perf_counter() - t0
     return cap, l_hat, cap.report.wall_time
 

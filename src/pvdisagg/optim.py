@@ -49,6 +49,9 @@ _LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
 _LP_FEAS_TOL = 1e-7    # HiGHS primal and dual feasibility tolerances
 _LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
 _QP_MAX_ITER = 50000   # proximal steps of solve_qp
+_BISQUARE_TUNING = 4.685  # residual scales; 95% efficient (Holland-Welsch)
+_IRLS_TOL = 1e-8       # relative coefficient step that stops irls_bisquare
+_IRLS_MAX_ITER = 50    # reweighting steps of irls_bisquare
 
 
 @dataclass
@@ -344,7 +347,7 @@ def solve_l1_trend_qp(y, lam: float, starts):
 
 
 def _bisquare_rho(r: np.ndarray, width: float) -> np.ndarray:
-    """Integrated bisquare loss with cutoff width (= tuning * scale)."""
+    """Integrated bisquare loss with cutoff width (_BISQUARE_TUNING scales)."""
     cap = width * width / 6.0
     inside = np.abs(r) <= width
     out = np.full(r.shape, cap)
@@ -379,8 +382,7 @@ def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, inv: np.ndarray):
     return sol, gram, b
 
 
-def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
-                  max_iter: int = 50):
+def irls_bisquare(x_mat, y):
     """Robust regression with nonnegative coefficients and the redescending
     bisquare loss.
 
@@ -388,7 +390,7 @@ def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
     initial (unweighted) fit and is then held fixed, which makes the
     reweighting a true majorize-minimize scheme: the objective sum of
     losses is non-increasing at every iteration (asserted).  Hitting
-    max_iter flags no_convergence in the report and returns the last
+    _IRLS_MAX_ITER flags no_convergence in the report and returns the last
     iterate; an all-zero weight vector raises DegenerateWeightsError.
     Every step is a weighted NNLS on the column-scaled J x J Gram (_wls).
     The report certifies the last one: dual_residual is its projected-
@@ -421,11 +423,11 @@ def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
     iterations = 1
     converged = True
     if scale > floor:
-        width = tuning * scale
+        width = _BISQUARE_TUNING * scale
         obj = float(np.sum(_bisquare_rho(resid, width)))
         history.append(obj)
         converged = False
-        for iterations in range(2, max_iter + 2):
+        for iterations in range(2, _IRLS_MAX_ITER + 2):
             w = np.zeros(k_samp)
             inside = np.abs(resid) <= width
             w[inside] = (1.0 - (resid[inside] / width) ** 2) ** 2
@@ -443,7 +445,7 @@ def irls_bisquare(x_mat, y, tuning: float = 4.685, tol: float = 1e-8,
             step = np.max(np.abs(alpha_new - alpha_s))
             alpha_s = alpha_new
             obj = obj_new
-            if step <= tol * (1.0 + np.max(np.abs(alpha_s))):
+            if step <= _IRLS_TOL * (1.0 + np.max(np.abs(alpha_s))):
                 converged = True
                 break
         report.notes["scale"] = float(scale)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import config_mappings, config_number
+from .errors import config_keys, config_mappings, config_number
 from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
@@ -371,19 +371,24 @@ def site_from_config(cfg: dict):
 
     Keys: latitude, longitude, altitude, albedo, planes (list of
     {tilt, azimuth}; omitted = the default 21-plane set), beta, gamma, t_ref.
-    Returns (SiteConfig, planes, TemperatureModel).
+    Returns (SiteConfig, planes, TemperatureModel); any other key raises.
     """
     def number(key, default=None, entry=cfg):
         return config_number(entry.get(key, default), key)
+
+    config_keys(cfg, ("latitude", "longitude", "altitude", "albedo",
+                      "planes", "beta", "gamma", "t_ref"), "site")
 
     site = SiteConfig(latitude=number("latitude"),
                       longitude=number("longitude"),
                       albedo=number("albedo", 0.2),
                       altitude=number("altitude", 0.0))
     if "planes" in cfg and cfg["planes"] is not None:
+        entries = config_mappings(cfg["planes"], "planes")
+        for p in entries:
+            config_keys(p, ("tilt", "azimuth"), "planes")
         planes = [PlaneConfig(number("tilt", entry=p),
-                              number("azimuth", entry=p))
-                  for p in config_mappings(cfg["planes"], "planes")]
+                              number("azimuth", entry=p)) for p in entries]
     else:
         planes = default_bank()
     model = TemperatureModel(beta=number("beta", 3.78e-2),

@@ -33,6 +33,8 @@ _KNOWN_UNITS = (UNIT_KW, UNIT_W_PER_M2, UNIT_CELSIUS)
 
 SECONDS_PER_DAY = 86400
 _ROWS_PER_BLOCK = 4096  # rows whose time stamps write_table formats at once
+_MAX_MISSING_FRACTION = 0.05  # largest share of the grid ingest repairs
+_N_FOLDS = 3  # day folds of make_folds
 
 
 @dataclass(eq=False)
@@ -217,7 +219,7 @@ def _read_table(path):
     return stamps.astype(np.int64), vals
 
 
-def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSeries:
+def ingest_csv(path, unit: str) -> TimeSeries:
     """Read a (timestamp, value, ...) CSV into a repaired TimeSeries.
 
     Lines starting with '#' are provenance comments and skipped; a single
@@ -225,7 +227,7 @@ def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSerie
     assumed when no offset is given) and must lie on one uniform grid —
     skipped grid points and blank values count as gaps.  The second column
     is the value and any further columns are ignored.  Gaps up to
-    ``max_missing_fraction`` (default 5%) of the grid are filled by linear
+    _MAX_MISSING_FRACTION (5%) of the grid are filled by linear
     interpolation and counted in ``repaired``; more than that raises
     TooSparseError.  Files in write_table's own layout are read in bulk,
     any other by the row-by-row parser, with the same results.
@@ -255,10 +257,10 @@ def ingest_csv(path, unit: str, max_missing_fraction: float = 0.05) -> TimeSerie
     missing = int(n - present.sum())
     if missing:
         frac = missing / n
-        if frac > max_missing_fraction:
+        if frac > _MAX_MISSING_FRACTION:
             raise TooSparseError(
                 f"{missing}/{n} samples missing "
-                f"({100 * frac:.1f}% > {100 * max_missing_fraction:.0f}%)")
+                f"({100 * frac:.1f}% > {100 * _MAX_MISSING_FRACTION:.0f}%)")
         if present.sum() < 2:
             raise TooSparseError("fewer than two observed samples")
         grid = np.arange(n)
@@ -353,18 +355,18 @@ class DailyFoldPlan:
         return train, test
 
 
-def make_folds(n_days: int, seed: int, n_folds: int = 3) -> DailyFoldPlan:
-    """Shuffle day indices with a seeded RNG and split into near-equal folds.
+def make_folds(n_days: int, seed: int) -> DailyFoldPlan:
+    """Shuffle day indices with a seeded RNG and split into _N_FOLDS folds.
 
     Fold sizes differ by at most one.  Deterministic for a given seed.
     """
-    if n_days < n_folds:
-        raise FoldError(f"need at least {n_folds} days, got {n_days}")
+    if n_days < _N_FOLDS:
+        raise FoldError(f"need at least {_N_FOLDS} days, got {n_days}")
     perm = np.random.default_rng(seed).permutation(n_days)
-    base, extra = divmod(n_days, n_folds)
+    base, extra = divmod(n_days, _N_FOLDS)
     folds = []
     pos = 0
-    for i in range(n_folds):
+    for i in range(_N_FOLDS):
         size = base + (1 if i < extra else 0)
         folds.append(tuple(int(d) for d in perm[pos:pos + size]))
         pos += size

@@ -245,6 +245,20 @@ def test_fit_rejects_non_positive_period(pipeline, tmp_path, capsys, period):
     assert not model.exists()
 
 
+def test_fit_refuses_another_methods_parameter(pipeline, tmp_path, capsys):
+    # A used to ignore both flags and exit 0
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", "A", "--lam", "3", "--c", "7",
+                 "--out-model", str(model)])
+    assert code == 2
+    assert "method A takes no lam, c" in capsys.readouterr().err
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("method, key", [("B", "lam"), ("C", "c")])
 def test_fit_needs_the_method_parameter(pipeline, tmp_path, capsys, method,
                                         key):
@@ -344,6 +358,34 @@ def test_disaggregate_zero_model_passes_the_flow_through(pipeline, tmp_path):
     _, _, _, p = read_table(pipeline["data"] / "p.csv")
     assert not est[:, 0].any()
     assert np.array_equal(est[:, 1], np.clip(p[:, 0], 0.0, None))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "expected a mapping at top level"),
+    ({"alpha_kwp": [1], "bank": 5}, "bank: expected a mapping"),
+    ({"alpha_kwp": [1]}, "bank: expected a mapping"),
+    ({"alpha_kwp": 1, "bank": {"geometry_hash": "abc"}},
+     "alpha_kwp: expected a list"),
+    ({"alpha_kwp": ["x"], "bank": {"geometry_hash": "abc"}},
+     "alpha_kwp: expected a number"),
+], ids=["list", "bank-not-a-mapping", "no-bank", "alpha-not-a-list",
+        "alpha-not-numbers"])
+def test_disaggregate_refuses_a_model_fit_did_not_write(pipeline, tmp_path,
+                                                        capsys, doc,
+                                                        message):
+    """A model document without fit's keys exits 2 naming the file and
+    the key, never a traceback."""
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "est.csv"
+    assert main(["disaggregate", "--model", str(model),
+                 "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--out", str(out)]) == 2
+    assert f"{model}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +490,12 @@ _A_AND_D = [{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
                                     "f_low_hz": 1.1574074074074073e-05,
                                     "f_high_hz": 0.00025}],
       "resolutions_s": [300]}, "edge padding (291 samples)"),
+    # c would fan D out into two identical grid points
+    ({"methods": _A_AND_D[:1] + [{**_A_AND_D[1], "c": [5, 10]}],
+      "resolutions_s": [300]}, "method D takes no c"),
 ], ids=["last-entry", "last-resolution", "not-a-multiple",
-        "not-a-day-divisor", "fraction-above-one", "padding-over-a-day"])
+        "not-a-day-divisor", "fraction-above-one", "padding-over-a-day",
+        "foreign-parameter"])
 def test_sweep_checks_the_whole_grid_before_any_fit(
         tmp_path, capsys, monkeypatch, config, message):
     """A grid point any of whose fits would be refused exits 2 before the
@@ -556,6 +602,37 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
     ("sweep", {"scenario": {"days": 3, "period_s": 300},
                "methods": [{"method": "B"}], "resolutions_s": [900]},
      2, "method B needs lam"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300}, "methods": 5},
+     2, "methods: expected a list of mappings"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300}, "methods": ["A"]},
+     2, "methods: expected a list of mappings"),
+    ("synth", {"days": 3, "period_s": 300, "cloud_kinds": 5},
+     2, "cloud_kinds: expected a list"),
+    # YAML reads yes, no, on and off as booleans: never numbers
+    ("synth", {"days": 3, "period_s": 300, "noise_kw": True},
+     2, "noise_kw: expected a number, got True"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "C", "c": True}],
+               "resolutions_s": [900]},
+     2, "c: expected a number, got True"),
+    ("synth", {"days": 3, "period_s": 300, "self_consumption": "no"},
+     2, "self_consumption: expected true or false"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "resolution_s": [900]},
+     2, "unknown cv sweep keys: ['resolution_s']"),
+    ("sweep", {"scenario": {"days": 3, "period_s": 300},
+               "methods": [{"method": "A"}], "mode": "penetration",
+               "resolutions_s": [900]},
+     2, "unknown penetration sweep keys: ['resolutions_s']"),
+    ("transpose", {"latitude": 47.5, "longitude": 7.5, "albdeo": 0.9},
+     2, "unknown site keys: ['albdeo']"),
+    ("transpose", {"latitude": 47.5, "longitude": 7.5,
+                   "planes": [{"tilt": 10, "azimuth": 180, "kwp": 5}]},
+     2, "unknown planes keys: ['kwp']"),
+    ("synth", {"days": 3, "period_s": 300,
+               "plant": [{"tilt": 10, "azimuth": 180, "kwp": 5,
+                          "kwh": 9}]},
+     2, "unknown plant keys: ['kwh']"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):

@@ -89,7 +89,8 @@ def test_aggregate_stats_rejects_empty():
     {"cloud_kinds": ("clear", "clear")},   # one short for three days
     {"cloud_kinds": ("clear", "foggy", "clear")},
     {"cycle_kw": 2.0, "cycle_period_s": 250},  # half-cycle not on the grid
-    {"self_consumption": True, "actuation_s": 600},
+    # the 300 s actuation window is not a multiple of 200 s
+    {"self_consumption": True, "period_s": 200},
 ])
 def test_spec_validation_rejects(changes):
     spec = dataclasses.replace(ScenarioSpec(days=3, period_s=10), **changes)

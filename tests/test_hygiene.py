@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Six rules: a module uses every name it imports (``__init__.py`` is
+Seven rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -9,9 +9,12 @@ is a base class of one that is, so the taxonomy holds no dead types;
 every private module-level name (one underscore, not a dunder) is read
 somewhere in the package, so no helper or constant outlives its caller;
 only ``methods.fit`` reads ``perf_counter``, so every reported time
-of a fit is one reading of one clock; and no function has a list, dict or
+of a fit is one reading of one clock; no function has a list, dict or
 set, or a call, as a default, since such a default is built once, shared
-by every call, and mutable (sequence defaults are tuples).
+by every call, and mutable (sequence defaults are tuples); and every
+defaulted parameter is passed by some call in the package, the acceptance
+tests or the benchmark harness, since a setting no caller varies is a
+constant, and belongs next to the code that reads it.
 """
 
 import ast
@@ -22,6 +25,11 @@ import pytest
 import pvdisagg
 
 MODULES = sorted(Path(pvdisagg.__file__).parent.glob("*.py"))
+# callers that may vary a package setting: the package itself, the
+# acceptance criteria and the benchmark harness (read, never written)
+CALLERS = MODULES + [Path(__file__).with_name("test_acceptance.py"),
+                     *sorted((Path(__file__).resolve().parents[1]
+                              / "perfbench").glob("*.py"))]
 
 
 def _tree(path):
@@ -149,6 +157,55 @@ def built_defaults(tree) -> list:
     return found
 
 
+def _defaulted(func, method: bool) -> list:
+    """(position or None, name) of every defaulted parameter of func; a
+    method's first parameter (self or cls) takes no position, since the
+    package has no static methods."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if method else 0:]
+    n_req = len(positional) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(positional) if i >= n_req]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                             args.kw_defaults)
+               if d is not None])
+
+
+def unpassed_defaults(trees, caller_trees) -> list:
+    """Defaulted parameters of the functions and methods of trees that no
+    call in caller_trees passes, by keyword or by position.  Calls match
+    by name (a class call counts for its ``__init__``), and a call with
+    ``*args`` or ``**kwargs`` passes every parameter."""
+    passed = {}     # callee name -> positions and keywords some call passes
+    spread = set()  # callee names some call gives *args or **kwargs
+    for tree in caller_trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id",
+                               getattr(call.func, "attr", None))
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                        k.arg is None for k in call.keywords):
+                    spread.add(name)
+                passed.setdefault(name, set()).update(
+                    {*range(len(call.args)), *(k.arg for k in call.keywords)})
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = cls if cls and child.name == "__init__" else child.name
+                seen = passed.get(name, set())
+                found.extend(
+                    f"{child.name}({param}) (line {child.lineno})"
+                    for pos, param in _defaulted(child, cls is not None)
+                    if name not in spread and pos not in seen
+                    and param not in seen)
+            visit(child, child.name if isinstance(child, ast.ClassDef)
+                  else None)
+    for tree in trees:
+        visit(tree, None)
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -179,6 +236,11 @@ def test_only_fit_reads_the_clock():
 
 def test_no_default_is_built_once_and_shared():
     assert sum((built_defaults(_tree(p)) for p in MODULES), []) == []
+
+
+def test_every_default_is_passed_by_some_call():
+    assert unpassed_defaults([_tree(p) for p in MODULES],
+                             [_tree(p) for p in CALLERS]) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -214,3 +276,12 @@ def test_checks_catch_what_they_forbid():
                          "def h(e=(0,), f=list(range(3))):\n    pass\n")
     assert built_defaults(defaults) == [
         "f (line 1)", "f (line 1)", "h (line 4)", "<lambda> (line 2)"]
+    settings = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                         "class K:\n"
+                         "    def __init__(self, x, y=0, z=0):\n"
+                         "        pass\n"
+                         "    def m(self, w=None):\n        pass\n"
+                         "def g(u=0, v=0):\n    pass\n")
+    calls = ast.parse("f(0, 5, d=1)\nK(1, 2)\nk.m()\ng(*args)\n")
+    assert unpassed_defaults([settings], [settings, calls]) == [
+        "f(c) (line 1)", "__init__(z) (line 4)", "m(w) (line 6)"]

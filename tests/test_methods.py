@@ -475,7 +475,7 @@ def test_method_d_refuses_empty_band():
         fit_method_d(ts(np.full(kd, 5.0), 30), flat, 1 / 600, 1 / 120)
 
 
-def test_method_d_spike_robustness():
+def test_method_d_spike_robustness(monkeypatch):
     """5% impulsive corruption at inrush scale: bounded damage, and the
     bisquare loss clearly beats a plain least-squares read of the same
     filtered data (the filter smears impulses into the pass band, so
@@ -494,9 +494,10 @@ def test_method_d_spike_robustness():
     e_spike = rel_err(
         fit_method_d(ts(spiked, 30), bank, 1 / 600, 1 / 120).alpha,
         alpha_true)
+    # a cutoff no residual reaches: plain least squares
+    monkeypatch.setattr(optim, "_BISQUARE_TUNING", 1e9)
     e_ls = rel_err(
-        fit_method_d(ts(spiked, 30), bank, 1 / 600, 1 / 120,
-                     tuning=1e9).alpha,
+        fit_method_d(ts(spiked, 30), bank, 1 / 600, 1 / 120).alpha,
         alpha_true)
     assert e_clean < 0.05
     assert e_spike <= 2.0 * e_clean
@@ -675,6 +676,19 @@ def test_fit_cuts_two_whole_days_at_the_day_by_default(params):
         assert np.array_equal(l_hat.values, l_day.values)
 
 
+def test_fit_leaves_a_series_of_one_sample_a_day_whole():
+    """A one-sample day cannot be a segment, so a daily series is fit as
+    one segment, as it is with its whole length given."""
+    rng = np.random.default_rng(3)
+    irr = rng.uniform(100.0, 900.0, (1, 40))
+    bank = PlaneBank((PlaneConfig(30.0, 180.0),), irr, START, 86400)
+    p = ts(rng.uniform(1.0, 5.0, 40) - 2.0 * irr[0] / 1000.0, 86400)
+    params = MethodParams("A", 86400)
+    cap, _, _ = fit(p, bank, params)
+    whole, _, _ = fit(p, bank, params, segment_length=40)
+    assert np.array_equal(cap.alpha, whole.alpha)
+
+
 def test_fit_mask_policy():
     """The mask reaches A and D but is ignored by the joint fits, whose
     demand block needs the night samples to anchor L."""
@@ -700,10 +714,14 @@ def test_fit_mask_policy():
     dict(method="C", sampling_period=60, c=2.5),
     dict(method="D", sampling_period=60, f_high=1 / 240),
     dict(method="D", sampling_period=60, f_low=1 / 240, f_high=1 / 1200),
-    dict(method="D", sampling_period=60, f_low=1 / 1200, f_high=1 / 240,
-         irls_tuning=0.0),
     dict(method="B", sampling_period=60),  # lam = 0 and c = 1 interpolate
     dict(method="C", sampling_period=60),  # P, so neither is a default
+    # each method refuses the others' parameters
+    dict(method="A", sampling_period=60, lam=3.0, c=7),
+    dict(method="B", sampling_period=60, lam=1.0, f_low=1 / 1200),
+    dict(method="C", sampling_period=60, c=10, f_high=1 / 240),
+    dict(method="D", sampling_period=60, f_low=1 / 1200, f_high=1 / 240,
+         c=5),
 ])
 def test_method_params_validation(bad):
     with pytest.raises(ValueError):
@@ -715,7 +733,7 @@ def test_method_params_to_dict_keeps_relevant_fields():
     assert "lam" not in d_a and "c" not in d_a and "f_low" not in d_a
     d_d = MethodParams("D", 60, f_low=0.001, f_high=0.01).to_dict()
     assert d_d["f_low"] == 0.001 and d_d["f_high"] == 0.01
-    assert d_d["irls_tuning"] == pytest.approx(4.685)
+    assert "irls_tuning" not in d_d  # the bisquare cutoff is a constant
 
 
 # ---------------------------------------------------------- disaggregate

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear, nnls
 
+from pvdisagg import optim
 from pvdisagg.errors import DegenerateWeightsError, NotConvexError
 from pvdisagg.optim import (QuadraticProgram, _wls, irls_bisquare,
                             psd_check_and_regularize, solve_l1_trend_qp,
@@ -432,11 +433,12 @@ def test_irls_shrugs_off_outliers_where_ols_cannot():
     assert rel_ols > 3.0 * rel
 
 
-def test_irls_huge_tuning_is_nnls():
+def test_irls_huge_tuning_is_nnls(monkeypatch):
+    monkeypatch.setattr(optim, "_BISQUARE_TUNING", 1e9)
     rng = np.random.default_rng(14)
     x = rng.uniform(0.0, 1.0, size=(80, 4))
     y = x @ np.array([1.0, 0.0, 3.0, 0.5]) + 0.05 * rng.normal(size=80)
-    alpha, _ = irls_bisquare(x, y, tuning=1e9)
+    alpha, _ = irls_bisquare(x, y)
     ref, _ = nnls(x, y)
     assert np.max(np.abs(alpha - ref)) <= 1e-8
 
@@ -450,21 +452,24 @@ def test_irls_objective_never_increases():
     assert all(b <= a + 1e-9 * (1 + abs(a)) for a, b in zip(hist, hist[1:]))
 
 
-def test_irls_iteration_cap_flags():
+def test_irls_iteration_cap_flags(monkeypatch):
+    monkeypatch.setattr(optim, "_IRLS_MAX_ITER", 1)
+    monkeypatch.setattr(optim, "_IRLS_TOL", 0.0)
     rng = np.random.default_rng(16)
     x = rng.uniform(0.0, 1.0, size=(100, 2))
     y = x @ np.array([1.0, 2.0]) + rng.standard_t(df=1, size=100)
-    alpha, rep = irls_bisquare(x, y, max_iter=1, tol=0.0)
+    alpha, rep = irls_bisquare(x, y)
     assert not rep.converged
     assert rep.notes.get("no_convergence") is True
     assert np.all(np.isfinite(alpha))
 
 
-def test_irls_degenerate_weights_raise():
+def test_irls_degenerate_weights_raise(monkeypatch):
+    monkeypatch.setattr(optim, "_BISQUARE_TUNING", 0.01)
     x = np.ones((2, 1))
     y = np.array([0.0, 1.0])
     with pytest.raises(DegenerateWeightsError):
-        irls_bisquare(x, y, tuning=0.01)
+        irls_bisquare(x, y)
 
 
 def test_irls_rejects_underdetermined():

@@ -65,11 +65,12 @@ def test_ingest_three_rows(tmp_path):
     assert s.repaired == 0
 
 
-def test_ingest_interpolates_one_missing_row(tmp_path):
+def test_ingest_interpolates_one_missing_row(tmp_path, monkeypatch):
     """A skipped grid point is filled with the linear midpoint."""
+    monkeypatch.setattr(timeseries, "_MAX_MISSING_FRACTION", 0.5)
     epochs = [START, START + 10, START + 30]
     path = _write(tmp_path, _epoch_rows(epochs, [1, 2, 4]))
-    s = ingest_csv(path, UNIT_KW, max_missing_fraction=0.5)
+    s = ingest_csv(path, UNIT_KW)
     assert np.allclose(s.values, [1.0, 2.0, 3.0, 4.0])
     assert s.repaired == 1
 
@@ -232,7 +233,7 @@ _NEAR_MISSES = {
 
 def _outcome(path):
     try:
-        s = ingest_csv(path, UNIT_KW, max_missing_fraction=0.5)
+        s = ingest_csv(path, UNIT_KW)
     except Exception as exc:  # compared, never swallowed
         return type(exc), str(exc), getattr(exc, "line_no", None)
     return s.start_epoch, s.period, s.values.tobytes(), s.repaired
@@ -243,6 +244,7 @@ def test_near_misses_read_as_the_row_parser_reads_them(tmp_path,
                                                        monkeypatch, case):
     """A file that departs from write_table's layout gives the same series,
     or the same error, message and line number, as the row parser."""
+    monkeypatch.setattr(timeseries, "_MAX_MISSING_FRACTION", 0.5)
     series, lines = _near_miss_lines()
     path = tmp_path / "near.csv"
     path.write_bytes(_NEAR_MISSES[case](lines).encode())
