@@ -185,7 +185,10 @@ def _load_model(path):
     """(document, capacities) of a model file that fit wrote; any other
     content raises InputError naming the file and the key."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: expected a mapping at top level")
     bank, alpha = doc.get("bank"), doc.get("alpha_kwp")

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import InputError, config_keys, config_mappings, config_number
 from .methods import MethodParams, fit, predict_generation
-from .solar import (PlaneBank, PlaneConfig, SiteConfig, build_bank,
-                    clearsky_ghi, default_bank, sun_position)
+from .solar import (_EPOCH_1950, _EPOCH_2101, PlaneBank, PlaneConfig,
+                    SiteConfig, build_bank, clearsky_ghi, default_bank,
+                    sun_position)
 from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
                          UNIT_W_PER_M2, TimeSeries, check_aligned,
                          make_folds, mask_night, resample_average)
@@ -122,6 +123,14 @@ class ScenarioSpec:
             raise ValueError("days must be >= 1")
         if self.period_s <= 0 or SECONDS_PER_DAY % self.period_s:
             raise ValueError("period_s must divide one day")
+        last = self.start_epoch + self.days * SECONDS_PER_DAY - self.period_s
+        if self.start_epoch < _EPOCH_1950 or last >= _EPOCH_2101:
+            raise ValueError(
+                f"start_epoch: the {self.days}-day grid from "
+                f"{self.start_epoch} must lie in 1950-2100 (UNIX seconds "
+                f"{_EPOCH_1950} to {_EPOCH_2101 - 1})")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.demand_step_s % self.period_s:
             raise ValueError("demand_step_s must be a multiple of period_s")
         if not self.plant:

@@ -47,13 +47,6 @@ _ENVELOPE_TOL = 1e-8       # relative projected-gradient certificate
 # exactly), a is optimal to that relative gap, and the projected
 # gradient, whose terms no longer shrink with F, need not certify it.
 _ENVELOPE_ZERO = np.finfo(float).eps
-# Each step's capacity QP has a Hessian that grows with the sample count
-# (columns are scaled to at most 1) and can be nearly flat along some
-# plane mixes, where a KKT residual cannot see an error in alpha.  A
-# per-sample ridge of 1e-12 makes solve_qp's proximal iteration exact in
-# 1-3 steps along those directions too.
-_NEWTON_QP_TOL = 1e-14
-_NEWTON_RIDGE = 1e-12
 _MAX_NEWTON_STEPS = 100
 _ARMIJO = 1e-4             # sufficient-decrease fraction of the backtracking
 _MIN_STEP = 1e-12
@@ -218,10 +211,12 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
     gradient C'(y - L) and, on the piece that holds L's runs and signs,
     Hessian W'W: W is C with every positive run demeaned and every clipped
     (zero) run kept as it is.  Each step minimizes that quadratic model
-    over a >= 0 with solve_qp and backtracks (Armijo) on the exact F; the
-    loop stops when the projected gradient, relative to the size of the
-    terms it sums, is at most _ENVELOPE_TOL, or when F(a) is at most
-    _ENVELOPE_ZERO * F(0).  Returns (capacities, demand trajectory).
+    over a >= 0 exactly, by solve_qp's one nnls on an eigen-root of W'W
+    (singular when plane mixes coincide on the runs), and backtracks
+    (Armijo) on the exact F; the loop stops when the projected gradient,
+    relative to the size of the terms it sums, is at most _ENVELOPE_TOL,
+    or when F(a) is at most _ENVELOPE_ZERO * F(0).  Returns (capacities,
+    demand trajectory).
     """
     k, j = len(p), bank.n_planes
     if k < j + 1:
@@ -257,8 +252,7 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
         if report.iterations == _MAX_NEWTON_STEPS:
             break
         target, _ = solve_qp(QuadraticProgram(
-            hess, hess @ a - grad, nonneg=np.ones(j, dtype=bool),
-            beta_reg=_NEWTON_RIDGE * k), tol=_NEWTON_QP_TOL)
+            hess, hess @ a - grad, nonneg=np.ones(j, dtype=bool)))
         slope = float(grad @ (target - a))
         t = 1.0
         while slope < 0 and t >= _MIN_STEP:

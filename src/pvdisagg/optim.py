@@ -4,10 +4,9 @@ L1 fit, IRLS.
 All quadratic problems use the convention  minimize 0.5*x'Hx - f'x .
 Every solver here is exact up to rounding on the sizes it is given:
 
-  solve_qp           proximal-point iteration on the ridge: one Cholesky
-                     factor, then one exact bounded least-squares solve per
-                     step (nnls, BVLS or a triangular solve), stopped on the
-                     KKT residual of the unridged problem;
+  solve_qp           one nnls on an eigen-root of H, with every free
+                     variable split into two nonnegative parts, certified
+                     by its KKT residual;
   solve_l1_trend_qp  the prox of a total-variation penalty on each segment
                      by Condat's direct algorithm, clipped at zero;
   solve_lp           method A's L1 fit on differences, min_{a >= 0}
@@ -48,7 +47,6 @@ from .errors import DegenerateWeightsError, NotConvexError
 _LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
 _LP_FEAS_TOL = 1e-7    # HiGHS primal and dual feasibility tolerances
 _LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
-_QP_MAX_ITER = 50000   # proximal steps of solve_qp
 _BISQUARE_TUNING = 4.685  # residual scales; 95% efficient (Holland-Welsch)
 _IRLS_TOL = 1e-8       # relative coefficient step that stops irls_bisquare
 _IRLS_MAX_ITER = 50    # reweighting steps of irls_bisquare
@@ -89,15 +87,12 @@ class SolverReport:
 class QuadraticProgram:
     """minimize 0.5*x'Hx - f'x  s.t.  x[nonneg] >= 0.
 
-    H must be symmetric positive semidefinite; beta_reg is the ridge of the
-    positive-definiteness gate and the step weight of solve_qp's proximal
-    iteration, which converges to the minimizer of the unridged problem.
+    H must be symmetric positive semidefinite.
     """
 
     h: object
     f: np.ndarray
     nonneg: np.ndarray = None  # boolean per variable; None = unconstrained
-    beta_reg: float = 1e-4
 
     def __post_init__(self):
         self.f = np.asarray(self.f, dtype=float)
@@ -108,8 +103,6 @@ class QuadraticProgram:
             self.nonneg = np.asarray(self.nonneg, dtype=bool)
             if self.nonneg.size != n:
                 raise ValueError("nonneg length mismatch")
-        if self.beta_reg < 0:
-            raise ValueError("beta_reg must be >= 0")
 
 
 def _column_scales(m: np.ndarray) -> np.ndarray:
@@ -197,63 +190,65 @@ def psd_check_and_regularize(h, beta_reg: float):
     return h_reg, is_pd, min_eig
 
 
+def _eigen_root(gram: np.ndarray, b: np.ndarray):
+    """(R, z, eigenvalues) with R'R = gram and R'z = b, for a symmetric
+    positive semidefinite gram and a b in its range.
+
+    min |R x - z|^2 is then x'(gram)x - 2b'x plus a constant, so one nnls
+    on (R, z) solves a nonnegative quadratic problem exactly (Lawson &
+    Hanson, Solving Least Squares Problems, 1974; the cross-product form
+    of Bro & De Jong, J. Chemometrics 11, 1997).  R comes from an
+    eigendecomposition, not a Cholesky factor, because gram is singular
+    whenever columns coincide; the eigenvalues at most J*eps*max(eigenvalue)
+    become zero rows of R.  The eigenvalues are returned ascending.
+    """
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > lam.size * np.finfo(float).eps * max(lam[-1], 0.0)
+    root = np.sqrt(np.where(keep, lam, 0.0))
+    z = np.divide(vec.T @ b, root, out=np.zeros_like(root), where=keep)
+    return root[:, None] * vec.T, z, lam
+
+
 def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     """Solve min 0.5x'Hx - f'x subject to x[nonneg] >= 0; (x, SolverReport).
 
-    Dense and exact: with R'R = H + beta_reg*I factored once, each step
-    x_{k+1} = argmin 0.5x'Hx - f'x + beta_reg/2 |x - x_k|^2 is the bounded
-    least-squares problem min |R x - R^-T (f + beta_reg x_k)|, solved by
-    nnls when every variable is nonnegative, by BVLS when only some are,
-    and by a triangular solve when none is.  The iteration stops when the
-    projected-gradient (KKT) residual of the unridged H is at most
-    tol * (1 + max(|Hx|, |f|)), or unconverged after _QP_MAX_ITER steps;
-    the report carries that residual, the bound violation and the
-    complementarity gap x[nonneg]'(Hx - f)[nonneg].
-    Raises NotConvexError when the ridged matrix has no Cholesky factor.
+    Dense and exact: one nnls on [R, -R[:, free]] against z (_eigen_root,
+    R'R = H, R'z = f), each free variable split into the difference of two
+    nonnegative parts, so nonnegative, mixed and free problems take the
+    same path.  That is the minimizer whenever f lies in the range of H,
+    as it does for any least-squares cost; a part of f outside that range
+    is dropped, and the certificate measures what that costs.  converged
+    needs the projected-gradient (KKT) residual, reported as
+    dual_residual, to be at most tol * (1 + max(|Hx|, |f|)); the report
+    also carries the bound violation and the complementarity gap
+    x[nonneg]'(Hx - f)[nonneg].
+    Raises NotConvexError when H has an eigenvalue below
+    -J*eps*max|eigenvalue|.
     """
-    from scipy.linalg import cholesky, solve_triangular
-    from scipy.optimize import lsq_linear, nnls
+    from scipy.optimize import nnls
     h = _dense_symmetric(prog.h)
     n = prog.f.size
-    h_reg = h + prog.beta_reg * np.eye(n)
-    try:
-        r = cholesky(h_reg)
-    except np.linalg.LinAlgError:
-        min_eig = psd_check_and_regularize(h, prog.beta_reg)[2]
+    r, z, eig = _eigen_root(h, prog.f)
+    if eig[0] < -n * np.finfo(float).eps * np.max(np.abs(eig)):
         raise NotConvexError(
-            f"quadratic cost not positive definite (min eig ~ {min_eig:g}) "
-            f"even with beta_reg={prog.beta_reg:g}") from None
-    nonneg = (prog.nonneg if prog.nonneg is not None
-              else np.zeros(n, dtype=bool))
-    if nonneg.all():
-        def step(b):
-            return nnls(r, b)[0]
-    elif nonneg.any():
-        bounds = (np.where(nonneg, 0.0, -np.inf), np.inf)
-
-        def step(b):
-            return lsq_linear(r, b, bounds=bounds, method="bvls").x
-    else:
-        def step(b):
-            return solve_triangular(r, b)
-
-    x = np.zeros(n)
-    report = SolverReport(status="max_iter")
-    for report.iterations in range(1, _QP_MAX_ITER + 1):
-        x = step(solve_triangular(r, prog.f + prog.beta_reg * x,
-                                  trans="T"))
-        hx = h @ x
-        grad = hx - prog.f
-        proj = np.where(nonneg, np.clip(x - grad, 0.0, None), x - grad)
-        report.dual_residual = float(np.max(np.abs(x - proj), initial=0.0))
-        if report.dual_residual <= tol * (1.0 + max(
-                np.max(np.abs(hx), initial=0.0),
-                np.max(np.abs(prog.f), initial=0.0))):
-            report.status, report.converged = "solved", True
-            break
-    report.objective = float(0.5 * x @ hx - prog.f @ x)
-    report.primal_residual = float(np.max(-x[nonneg], initial=0.0))
-    report.duality_gap = float(x[nonneg] @ grad[nonneg])
+            f"quadratic cost not positive semidefinite (min eig {eig[0]:g})")
+    free = (~prog.nonneg if prog.nonneg is not None
+            else np.ones(n, dtype=bool))
+    parts, _ = nnls(np.hstack([r, -r[:, free]]), z)
+    x = parts[:n]
+    x[free] -= parts[n:]
+    hx = h @ x
+    grad = hx - prog.f
+    proj = np.where(free, x - grad, np.clip(x - grad, 0.0, None))
+    report = SolverReport(
+        objective=float(0.5 * x @ hx - prog.f @ x), iterations=1,
+        primal_residual=float(np.max(-x[~free], initial=0.0)),
+        dual_residual=float(np.max(np.abs(x - proj), initial=0.0)),
+        duality_gap=float(x[~free] @ grad[~free]), status="numerical")
+    if report.dual_residual <= tol * (1.0 + max(
+            np.max(np.abs(hx), initial=0.0),
+            np.max(np.abs(prog.f), initial=0.0))):
+        report.status, report.converged = "solved", True
     return x, report
 
 
@@ -363,22 +358,16 @@ def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, inv: np.ndarray):
     a scaled copy of X.  With G = D(X*w)'XD and b = D(X*w)'y, D = diag(inv),
     the objective is a'Ga - 2a'b plus a constant, so nnls(R, z) with
     R'R = G and R'z = b has the minimizers of nnls on the tall
-    sqrt(w)-scaled rows (the cross-product form of Bro & De Jong,
-    J. Chemometrics 11, 1997) at O(K J^2) BLAS work.  R comes from an
-    eigendecomposition, not a Cholesky factor, because G is singular
-    whenever columns coincide on the positive-weight rows; the eigenvalues
-    at most J*eps*max(eigenvalue) become zero rows of R.  Returns
+    sqrt(w)-scaled rows at O(K J^2) BLAS work (_eigen_root; G is singular
+    whenever columns coincide on the positive-weight rows).  Returns
     (a, G, b).
     """
     from scipy.optimize import nnls
     xw = x_mat * w[:, None]
     gram = (xw.T @ x_mat) * np.outer(inv, inv)
     b = (xw.T @ y) * inv
-    lam, vec = np.linalg.eigh(gram)
-    keep = lam > lam.size * np.finfo(float).eps * max(lam[-1], 0.0)
-    root = np.sqrt(np.where(keep, lam, 0.0))
-    z = np.divide(vec.T @ b, root, out=np.zeros_like(root), where=keep)
-    sol, _ = nnls(root[:, None] * vec.T, z)
+    r, z, _ = _eigen_root(gram, b)
+    sol, _ = nnls(r, z)
     return sol, gram, b
 
 

@@ -113,6 +113,13 @@ def test_synth_seed_flag_overrides(pipeline, tmp_path):
     assert doc["provenance"]["seed"] == 99
 
 
+def test_synth_refuses_a_negative_seed_flag(pipeline, tmp_path, capsys):
+    assert main(["synth", "--scenario", str(pipeline["scen"]),
+                 "--seed", "-1", "--out-dir", str(tmp_path / "neg")]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
+
+
 def test_synth_out_dir_from_environment(pipeline, tmp_path, monkeypatch):
     monkeypatch.setenv("PVDISAGG_OUT_DIR", str(tmp_path / "env_out"))
     assert main(["synth", "--scenario", str(pipeline["scen"])]) == 0
@@ -368,15 +375,16 @@ def test_disaggregate_zero_model_passes_the_flow_through(pipeline, tmp_path):
      "alpha_kwp: expected a list"),
     ({"alpha_kwp": ["x"], "bank": {"geometry_hash": "abc"}},
      "alpha_kwp: expected a number"),
+    ("{\n bad", "Expecting property name"),  # not JSON at all
 ], ids=["list", "bank-not-a-mapping", "no-bank", "alpha-not-a-list",
-        "alpha-not-numbers"])
+        "alpha-not-numbers", "not-json"])
 def test_disaggregate_refuses_a_model_fit_did_not_write(pipeline, tmp_path,
                                                         capsys, doc,
                                                         message):
-    """A model document without fit's keys exits 2 naming the file and
-    the key, never a traceback."""
+    """A model document that is not JSON, or lacks fit's keys, exits 2
+    naming the file and the key, never a traceback."""
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     out = tmp_path / "est.csv"
     assert main(["disaggregate", "--model", str(model),
                  "--site", str(pipeline["site"]),
@@ -633,6 +641,15 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
                "plant": [{"tilt": 10, "azimuth": 180, "kwp": 5,
                           "kwh": 9}]},
      2, "unknown plant keys: ['kwh']"),
+    # past int64 seconds: refused before the time grid is built
+    ("synth", {"days": 3, "period_s": 300, "start_epoch": 10 ** 20},
+     2, "start_epoch: the 3-day grid"),
+    ("synth", {"days": 3, "period_s": 300, "start_epoch": 4200000000},
+     2, "start_epoch: the 3-day grid"),
+    ("synth", {"days": 3, "period_s": 300, "start_epoch": -700000000},
+     2, "start_epoch: the 3-day grid"),
+    ("synth", {"days": 3, "period_s": 300, "seed": -1},
+     2, "seed must be >= 0, got -1"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):

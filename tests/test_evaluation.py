@@ -11,6 +11,7 @@ from pvdisagg.evaluation import (ScenarioSpec, SweepResult, SweepRow,
                                  generate_scenario, penetration_experiment,
                                  run_cv)
 from pvdisagg.methods import MethodParams
+from pvdisagg.solar import sun_position
 from pvdisagg.timeseries import (SECONDS_PER_DAY, UNIT_KW, make_folds,
                                  resample_average)
 
@@ -91,11 +92,23 @@ def test_aggregate_stats_rejects_empty():
     {"cycle_kw": 2.0, "cycle_period_s": 250},  # half-cycle not on the grid
     # the 300 s actuation window is not a multiple of 200 s
     {"self_consumption": True, "period_s": 200},
+    {"start_epoch": -631152001},           # 1949-12-31T23:59:59Z
+    # the last sample falls on 2101-01-01T00:00:00Z
+    {"start_epoch": 4133980800 - 3 * SECONDS_PER_DAY + 10},
 ])
 def test_spec_validation_rejects(changes):
     spec = dataclasses.replace(ScenarioSpec(days=3, period_s=10), **changes)
     with pytest.raises(ValueError):
         spec.validate()
+
+
+def test_spec_accepts_a_grid_that_ends_in_2100():
+    """The grid's last sample may be the last second sun_position takes."""
+    spec = ScenarioSpec(days=1, period_s=300,
+                        start_epoch=4133980799 - SECONDS_PER_DAY + 300)
+    spec.validate()
+    last = spec.start_epoch + SECONDS_PER_DAY - spec.period_s
+    sun_position(np.array([spec.start_epoch, last]), spec.site)
 
 
 def test_spec_from_dict_rejects_unknown_keys():

@@ -12,9 +12,10 @@ only ``methods.fit`` reads ``perf_counter``, so every reported time
 of a fit is one reading of one clock; no function has a list, dict or
 set, or a call, as a default, since such a default is built once, shared
 by every call, and mutable (sequence defaults are tuples); and every
-defaulted parameter is passed by some call in the package, the acceptance
-tests or the benchmark harness, since a setting no caller varies is a
-constant, and belongs next to the code that reads it.
+defaulted parameter or dataclass field is set by some call or statement
+in the package, the acceptance tests or the benchmark harness, since a
+setting no caller varies is a constant, and belongs next to the code that
+reads it.
 """
 
 import ast
@@ -170,23 +171,57 @@ def _defaulted(func, method: bool) -> list:
                if d is not None])
 
 
+def _fields(cls) -> list:
+    """(position, name) of every defaulted field of a dataclass cls; []
+    for any other class."""
+    if not any(getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
+               == "dataclass" for d in cls.decorator_list):
+        return []
+    fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)]
+    return [(i, node.target.id) for i, node in enumerate(fields)
+            if node.value is not None]
+
+
+def _calls(tree):
+    """(callee name, call) of every call in tree; ``cls(...)`` inside a
+    class calls that class."""
+    owner = {}
+    for node in ast.walk(tree):  # outer classes first, so inner ones win
+        if isinstance(node, ast.ClassDef):
+            owner.update({call: node.name for call in ast.walk(node)
+                          if isinstance(call, ast.Call)
+                          and getattr(call.func, "id", None) == "cls"})
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            yield owner.get(call, getattr(call.func, "id", getattr(
+                call.func, "attr", None))), call
+
+
 def unpassed_defaults(trees, caller_trees) -> list:
-    """Defaulted parameters of the functions and methods of trees that no
-    call in caller_trees passes, by keyword or by position.  Calls match
-    by name (a class call counts for its ``__init__``), and a call with
-    ``*args`` or ``**kwargs`` passes every parameter."""
+    """Defaulted parameters of the functions and methods of trees, and
+    defaulted fields of their dataclasses, that nothing in caller_trees
+    sets.  A call sets what it passes by keyword or by position; calls
+    match by name (a class call counts for its ``__init__`` and its
+    fields), and a call with ``*args`` or ``**kwargs`` sets every
+    parameter and field.  A field is also set by any assignment to an
+    attribute of its name, except through ``self``, which only
+    normalizes a value some caller passed."""
     passed = {}     # callee name -> positions and keywords some call passes
     spread = set()  # callee names some call gives *args or **kwargs
+    assigned = set()  # attribute names a statement stores, not via self
     for tree in caller_trees:
-        for call in ast.walk(tree):
-            if isinstance(call, ast.Call):
-                name = getattr(call.func, "id",
-                               getattr(call.func, "attr", None))
-                if any(isinstance(a, ast.Starred) for a in call.args) or any(
-                        k.arg is None for k in call.keywords):
-                    spread.add(name)
-                passed.setdefault(name, set()).update(
-                    {*range(len(call.args)), *(k.arg for k in call.keywords)})
+        for name, call in _calls(tree):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                spread.add(name)
+            passed.setdefault(name, set()).update(
+                {*range(len(call.args)), *(k.arg for k in call.keywords)})
+        assigned.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) != "self")
     found = []
 
     def visit(node, cls):
@@ -199,6 +234,13 @@ def unpassed_defaults(trees, caller_trees) -> list:
                     for pos, param in _defaulted(child, cls is not None)
                     if name not in spread and pos not in seen
                     and param not in seen)
+            elif isinstance(child, ast.ClassDef):
+                seen = passed.get(child.name, set())
+                found.extend(
+                    f"{child.name}.{param} (line {child.lineno})"
+                    for pos, param in _fields(child)
+                    if child.name not in spread and pos not in seen
+                    and param not in seen and param not in assigned)
             visit(child, child.name if isinstance(child, ast.ClassDef)
                   else None)
     for tree in trees:
@@ -285,3 +327,16 @@ def test_checks_catch_what_they_forbid():
     calls = ast.parse("f(0, 5, d=1)\nK(1, 2)\nk.m()\ng(*args)\n")
     assert unpassed_defaults([settings], [settings, calls]) == [
         "f(c) (line 1)", "__init__(z) (line 4)", "m(w) (line 6)"]
+    fields = ast.parse("@dataclass\nclass P:\n    h: object\n"
+                       "    f: float = 0.0\n    beta: float = 1e-4\n"
+                       "    tol: float = 1e-6\n    wall: float = 0.0\n"
+                       "    def __post_init__(self):\n"
+                       "        self.tol = float(self.tol)\n"
+                       "@dataclass(frozen=True)\nclass S:\n"
+                       "    seed: int = 0\n    days: int = 3\n"
+                       "    @classmethod\n    def from_dict(cls, d):\n"
+                       "        return cls(**d)\n"
+                       "class Plain:\n    n: int = 0\n")
+    sets = ast.parse("P(h, 1.0)\nreport.wall = 2.0\n")
+    assert unpassed_defaults([fields], [fields, sets]) == [
+        "P.beta (line 2)", "P.tol (line 2)"]

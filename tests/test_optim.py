@@ -135,9 +135,61 @@ def test_qp_solution_beats_random_feasible_perturbations():
 def test_qp_rejects_indefinite_cost():
     h = np.diag([1.0, -1.0])
     prog = QuadraticProgram(h=sp.csc_matrix(h), f=np.zeros(2),
-                            nonneg=np.array([True, True]), beta_reg=1e-4)
+                            nonneg=np.array([True, True]))
     with pytest.raises(NotConvexError):
         solve_qp(prog)
+
+
+def test_qp_rejects_a_slightly_indefinite_cost():
+    """An eigenvalue of -1e-6 is far beyond rounding; no ridge hides it."""
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    h = q @ np.diag([-1e-6, 1.0, 2.0]) @ q.T
+    prog = QuadraticProgram(h=0.5 * (h + h.T), f=np.ones(3),
+                            nonneg=np.ones(3, dtype=bool))
+    with pytest.raises(NotConvexError, match="min eig -1e-06"):
+        solve_qp(prog)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 20),
+       case=st.sampled_from(["nonneg", "mixed", "free", "coincident"]))
+def test_qp_matches_the_bvls_oracle(seed, n, case):
+    """solve_qp against BVLS on a root A of H with A'A = H and A'b = f:
+    the Cholesky factor of a positive definite H, or, for an H made
+    singular by coincident columns, the tall matrix it is the Gram of.
+    The answer is certified to rounding level and is no worse than the
+    oracle's."""
+    rng = np.random.default_rng(seed)
+    tall = rng.normal(size=(n + 3, n))
+    nonneg = {"nonneg": np.ones(n, dtype=bool),
+              "free": np.zeros(n, dtype=bool)}.get(case, rng.random(n) < 0.5)
+    if case == "coincident":
+        tall[:, -1] = tall[:, 0]
+        tall[:, -2] = 2.0 * tall[:, 0]
+        h, b = tall.T @ tall, rng.normal(size=n + 3)
+        a, f = tall, tall.T @ b
+    else:
+        h, f = tall.T @ tall + 0.1 * np.eye(n), rng.normal(size=n)
+        low = np.linalg.cholesky(h)
+        a, b = low.T, np.linalg.solve(low, f)
+    if case in ("mixed", "coincident"):
+        nonneg[[0, -1]] = True, False
+    oracle = lsq_linear(a, b, bounds=(np.where(nonneg, 0.0, -np.inf),
+                                      np.inf), method="bvls", tol=1e-14).x
+    x, rep = solve_qp(QuadraticProgram(h=h, f=f, nonneg=nonneg))
+
+    def obj(v):
+        return 0.5 * v @ (h @ v) - f @ v
+
+    grad = h @ x - f
+    proj = np.where(nonneg, np.clip(x - grad, 0.0, None), x - grad)
+    scale = 1.0 + max(np.max(np.abs(h @ x)), np.max(np.abs(f)))
+    assert rep.converged
+    assert np.max(np.abs(x - proj)) <= 1e-12 * scale
+    assert rep.dual_residual == np.max(np.abs(x - proj))
+    assert rep.primal_residual == 0.0
+    assert obj(x) <= obj(oracle) + 1e-12 * (1.0 + abs(obj(oracle)))
 
 
 def test_qp_duality_gap_small_on_convergence():
