@@ -7,11 +7,8 @@ irradiance signal, then reconstructs generation and demand trajectories.
 
 __version__ = "0.1.0"
 
-from .errors import (AlignmentError, BankMismatchError,  # noqa: F401
-                     DegenerateWeightsError, DesignError, DisaggError,
-                     FoldError, FormatError, GridError, InputError,
-                     NotConvexError, ResampleError, SolverError,
-                     TooShortError, TooSparseError)
+from .errors import (DisaggError, FormatError, InputError,  # noqa: F401
+                     SolverError)
 from .timeseries import (TimeSeries, ingest_csv, make_folds,  # noqa: F401
                          mask_night, resample_average, write_csv)
 from .solar import (PlaneBank, PlaneConfig, SiteConfig,  # noqa: F401

@@ -19,8 +19,8 @@ import sys
 import yaml
 
 from . import __version__, dsp
-from .errors import (DisaggError, InputError, SolverError, config_keys,
-                     config_mappings, config_number)
+from .errors import (InputError, SolverError, config_keys, config_mappings,
+                     config_number)
 from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, check_fractions,
                          compute_metrics, generate_scenario,
                          penetration_experiment, run_cv)
@@ -278,6 +278,9 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise InputError("sweep config lists no methods")
     fold_seed = config_number(cfg.get("fold_seed", 0), "fold_seed", True)
+    if fold_seed < 0:
+        raise InputError(f"fold_seed: expected a nonnegative integer, "
+                         f"got {fold_seed}")
     if mode == "cv":
         resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
                                "resolutions_s", True)
@@ -445,9 +448,6 @@ def main(argv=None) -> int:
         return 3
     except AssertionError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 4
-    except DisaggError as exc:  # anything else of ours: treat as internal
-        print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
 

@@ -28,18 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, TooShortError
+from .errors import InputError
 
 
 @dataclass(frozen=True)
 class BandpassFilter:
-    """Designed filter: cutoffs in Hz, sos is a (3, 6) section matrix,
+    """Designed filter: sample_rate in Hz, sos is a (3, 6) section matrix,
     settling_samples the slowest pole's time constant in samples (three
     make padlen, the edge padding) and zi the (3, 2) section states of a
     unit step in steady state (``scipy.signal.sosfilt_zi``)."""
 
-    f_low: float
-    f_high: float
     sample_rate: float
     sos: np.ndarray
     settling_samples: int
@@ -55,7 +53,7 @@ def design_bandpass(f_low: float, f_high: float,
     """Design the order-6 band-pass; cutoffs are the -3 dB points."""
     from scipy import signal
     if not (0.0 < f_low < f_high < sample_rate / 2.0):
-        raise DesignError(
+        raise InputError(
             f"need 0 < f_low < f_high < rate/2, got "
             f"({f_low:g}, {f_high:g}) at rate {sample_rate:g} Hz")
     sos = signal.butter(3, [f_low, f_high], btype="bandpass",
@@ -65,11 +63,11 @@ def design_bandpass(f_low: float, f_high: float,
     worst = max(float(np.max(np.abs(np.roots(section[3:]))))
                 for section in sos)
     if worst >= 1.0:
-        raise DesignError(
+        raise InputError(
             "discretized poles not strictly inside the unit circle "
             "(band too extreme for this sample rate)")
-    return BandpassFilter(float(f_low), float(f_high), float(sample_rate),
-                          sos, int(np.ceil(-1.0 / np.log(worst))),
+    return BandpassFilter(float(sample_rate), sos,
+                          int(np.ceil(-1.0 / np.log(worst))),
                           signal.sosfilt_zi(sos))
 
 
@@ -93,7 +91,7 @@ def apply_array(filt: BandpassFilter, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     padlen = filt.padlen
     if values.shape[-1] <= padlen:
-        raise TooShortError(
+        raise InputError(
             f"series of {values.shape[-1]} samples cannot carry the "
             f"forward-backward edge padding ({padlen} samples)")
     ext = np.concatenate(

@@ -2,7 +2,9 @@
 
 Split into two families: input/data errors (bad files, bad grids, bad
 configuration) and solver errors (the problem itself is broken).  The CLI
-maps the first family to exit code 2 and the second to exit code 3/4.
+maps the first family to exit code 2 and the second to exit code 3.
+Only FormatError subclasses a family: the CSV reader catches it, and it
+carries the line number.
 """
 
 
@@ -24,38 +26,6 @@ class FormatError(InputError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
-
-
-class GridError(InputError):
-    """Timestamps do not sit on a uniform grid."""
-
-
-class TooSparseError(InputError):
-    """Too large a fraction of a series is missing to repair."""
-
-
-class ResampleError(InputError):
-    """Target period is not an integer multiple of the source period."""
-
-
-class FoldError(InputError):
-    """Not enough days to build the requested fold plan."""
-
-
-class AlignmentError(InputError):
-    """Two series (or a series and a bank) do not share start/period/length."""
-
-
-class DesignError(InputError):
-    """Band-pass corner frequencies are invalid for the sampling rate."""
-
-
-class TooShortError(InputError):
-    """Series shorter than the forward-backward filter needs."""
-
-
-class BankMismatchError(InputError):
-    """A capacity vector was fitted against a different plane bank."""
 
 
 def config_number(value, key: str, integer: bool = False):
@@ -98,12 +68,4 @@ def config_keys(mapping: dict, known, what: str) -> dict:
 # --- solver errors --------------------------------------------------------
 
 class SolverError(DisaggError):
-    """Base class for optimisation failures."""
-
-
-class NotConvexError(SolverError):
-    """Quadratic cost is not positive definite even after regularisation."""
-
-
-class DegenerateWeightsError(SolverError):
-    """Robust reweighting drove every sample weight to zero."""
+    """An optimisation failed: the problem itself is broken."""

@@ -205,7 +205,6 @@ class ScenarioData:
     battery: TimeSeries
     bank: PlaneBank
     capacity_kwp: float
-    spec: Optional[ScenarioSpec] = None
 
     @property
     def n_days(self) -> int:
@@ -357,7 +356,7 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         l_true=TimeSeries(spec.start_epoch, spec.period_s, l_v, UNIT_KW),
         battery=TimeSeries(spec.start_epoch, spec.period_s, batt_v,
                            UNIT_KW),
-        bank=bank, capacity_kwp=spec.capacity_kwp, spec=spec)
+        bank=bank, capacity_kwp=spec.capacity_kwp)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dsp
-from .errors import (AlignmentError, BankMismatchError,
-                     DegenerateWeightsError)
+from .errors import InputError, SolverError
 from .optim import (QuadraticProgram, SolverReport, _column_scales,
                     irls_bisquare, solve_l1_trend_qp, solve_lp, solve_qp)
 from .solar import PlaneBank
@@ -100,6 +99,10 @@ class MethodParams:
                 f"method {self.method} takes no {', '.join(foreign)}")
         if self.sampling_period <= 0:
             raise ValueError("sampling_period must be positive")
+        for name in ("lam", "night_threshold"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.method == "B" and (self.lam is None or self.lam < 0):
             raise ValueError(f"method B needs lam >= 0, got {self.lam}")
         if self.method == "C" and (self.c is None or int(self.c) != self.c
@@ -136,7 +139,7 @@ class DisaggregationResult:
 def _check_bank(p: TimeSeries, bank: PlaneBank) -> None:
     if (p.start_epoch != bank.start_epoch or p.period != bank.period
             or len(p) != bank.n_samples):
-        raise AlignmentError(
+        raise InputError(
             "series and plane bank are not on the same sampling grid")
 
 
@@ -153,11 +156,11 @@ def _segment_starts(p: TimeSeries, length: Optional[int]) -> np.ndarray:
 def predict_generation(alpha: CapacityVector, bank: PlaneBank) -> TimeSeries:
     """Aggregate generation implied by a capacity vector, in kW."""
     if alpha.bank_id != bank.geometry_hash:
-        raise BankMismatchError(
+        raise InputError(
             f"capacity vector was fit against bank {alpha.bank_id}, "
             f"got {bank.geometry_hash}")
     if alpha.alpha.size != bank.n_planes:
-        raise BankMismatchError("capacity vector length != bank planes")
+        raise InputError("capacity vector length != bank planes")
     g = (alpha.alpha @ bank.irradiance) * KW_PER_WM2
     return TimeSeries(bank.start_epoch, bank.period, g, UNIT_KW)
 
@@ -377,7 +380,7 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
     # as capacity, so refuse instead
     bank_scale = float(np.max(bank.irradiance, initial=0.0)) * KW_PER_WM2
     if peak * KW_PER_WM2 <= 1e-8 * max(bank_scale, 1e-12):
-        raise DegenerateWeightsError(
+        raise SolverError(
             "pass band contains no irradiance signal (filtered bank is "
             "numerically zero); widen [f_low, f_high]")
     if keep.size < j + 1:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeightsError, NotConvexError
+from .errors import SolverError
 
 _LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
 _LP_FEAS_TOL = 1e-7    # HiGHS primal and dual feasibility tolerances
@@ -222,7 +222,7 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     dual_residual, to be at most tol * (1 + max(|Hx|, |f|)); the report
     also carries the bound violation and the complementarity gap
     x[nonneg]'(Hx - f)[nonneg].
-    Raises NotConvexError when H has an eigenvalue below
+    Raises SolverError when H has an eigenvalue below
     -J*eps*max|eigenvalue|.
     """
     from scipy.optimize import nnls
@@ -230,7 +230,7 @@ def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
     n = prog.f.size
     r, z, eig = _eigen_root(h, prog.f)
     if eig[0] < -n * np.finfo(float).eps * np.max(np.abs(eig)):
-        raise NotConvexError(
+        raise SolverError(
             f"quadratic cost not positive semidefinite (min eig {eig[0]:g})")
     free = (~prog.nonneg if prog.nonneg is not None
             else np.ones(n, dtype=bool))
@@ -380,7 +380,7 @@ def irls_bisquare(x_mat, y):
     reweighting a true majorize-minimize scheme: the objective sum of
     losses is non-increasing at every iteration (asserted).  Hitting
     _IRLS_MAX_ITER flags no_convergence in the report and returns the last
-    iterate; an all-zero weight vector raises DegenerateWeightsError.
+    iterate; an all-zero weight vector raises SolverError.
     Every step is a weighted NNLS on the column-scaled J x J Gram (_wls).
     The report certifies the last one: dual_residual is its projected-
     gradient (KKT) residual relative to the size of the terms the gradient
@@ -421,7 +421,7 @@ def irls_bisquare(x_mat, y):
             inside = np.abs(resid) <= width
             w[inside] = (1.0 - (resid[inside] / width) ** 2) ** 2
             if not np.any(w > 0):
-                raise DegenerateWeightsError(
+                raise SolverError(
                     "every sample weight is zero (scale too small "
                     "or data pathological)")
             alpha_new, gram, b = _wls(x_mat, y, w, inv)

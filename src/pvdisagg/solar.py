@@ -78,7 +78,7 @@ class TemperatureModel:
 
 @dataclass
 class SunPosition:
-    """Sun geometry per sample; fields are scalars or equally-shaped arrays.
+    """Sun geometry per sample; fields are equally-shaped arrays.
 
     zenith/azimuth in degrees (azimuth clockwise from north);
     extraterrestrial_normal is the eccentricity-corrected solar constant.
@@ -124,12 +124,11 @@ def _day_of_year(epoch: np.ndarray) -> np.ndarray:
 def sun_position(t, site: SiteConfig) -> SunPosition:
     """Sun zenith/azimuth and extraterrestrial normal irradiance at epoch t.
 
-    t is UTC seconds (scalar or array), valid 1950-2100.  Accuracy is well
+    t is an array of UTC seconds, valid 1950-2100.  Accuracy is well
     within 0.5 degrees of astronomical references; atmospheric refraction is
     not applied.
     """
-    scalar = np.ndim(t) == 0
-    epoch = np.atleast_1d(np.asarray(t, dtype=float))
+    epoch = np.asarray(t, dtype=float)
     if np.any(epoch < _EPOCH_1950) or np.any(epoch >= _EPOCH_2101):
         raise ValueError("timestamps outside the supported 1950-2100 range")
 
@@ -180,9 +179,6 @@ def sun_position(t, site: SiteConfig) -> SunPosition:
                   + 0.000719 * np.cos(2 * b) + 0.000077 * np.sin(2 * b))
     extra = SOLAR_CONSTANT * ecc_factor
 
-    if scalar:
-        return SunPosition(float(zenith[0]), float(azimuth[0]),
-                           float(extra[0]))
     return SunPosition(zenith, azimuth, extra)
 
 

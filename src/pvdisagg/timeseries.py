@@ -11,19 +11,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    FoldError,
-    FormatError,
-    GridError,
-    ResampleError,
-    TooSparseError,
-)
+from .errors import FormatError, InputError
 
 UNIT_KW = "kW"
 UNIT_W_PER_M2 = "W_per_m2"
@@ -58,9 +51,9 @@ class TimeSeries:
         self.period = int(self.period)
         self.start_epoch = int(self.start_epoch)
         if self.period <= 0:
-            raise GridError(f"period must be positive, got {self.period}")
+            raise InputError(f"period must be positive, got {self.period}")
         if SECONDS_PER_DAY % self.period != 0:
-            raise GridError(
+            raise InputError(
                 f"period {self.period} s does not divide one day")
         if self.unit not in _KNOWN_UNITS:
             raise ValueError(f"unknown unit {self.unit!r}")
@@ -92,18 +85,18 @@ class TimeSeries:
         """Number of whole days covered; raises if not day-aligned."""
         spd = self.samples_per_day
         if self.values.size % spd != 0:
-            raise GridError("series does not cover a whole number of days")
+            raise InputError("series does not cover a whole number of days")
         return self.values.size // spd
 
 
 def check_aligned(*series: TimeSeries):
-    """Raise AlignmentError unless all series share start, period and length."""
+    """Raise InputError unless all series share start, period and length."""
     first = series[0]
     for other in series[1:]:
         if (other.start_epoch != first.start_epoch
                 or other.period != first.period
                 or len(other) != len(first)):
-            raise AlignmentError(
+            raise InputError(
                 "series grids differ: "
                 f"({first.start_epoch},{first.period},{len(first)}) vs "
                 f"({other.start_epoch},{other.period},{len(other)})")
@@ -229,24 +222,24 @@ def ingest_csv(path, unit: str) -> TimeSeries:
     is the value and any further columns are ignored.  Gaps up to
     _MAX_MISSING_FRACTION (5%) of the grid are filled by linear
     interpolation and counted in ``repaired``; more than that raises
-    TooSparseError.  Files in write_table's own layout are read in bulk,
+    InputError.  Files in write_table's own layout are read in bulk,
     any other by the row-by-row parser, with the same results.
     """
     parsed = _read_table(path)
     t, vals = parsed if parsed is not None else _read_rows(path)
     if len(t) < 2:
-        raise GridError("need at least two samples to establish a grid")
+        raise InputError("need at least two samples to establish a grid")
     diffs = np.diff(t)
     if np.any(diffs <= 0):
-        raise GridError("timestamps must be strictly increasing")
+        raise InputError("timestamps must be strictly increasing")
     # the smallest gap is the grid period; every other gap must be a whole
     # number of periods (a missing row), otherwise the grid is non-uniform
     period = int(diffs.min())
     if np.any(diffs % period != 0):
-        raise GridError(
+        raise InputError(
             f"timestamps are not on a uniform {period} s grid")
     if SECONDS_PER_DAY % period != 0:
-        raise GridError(
+        raise InputError(
             f"inferred period {period} s does not divide one day")
 
     n = (int(t[-1]) - int(t[0])) // period + 1
@@ -258,11 +251,11 @@ def ingest_csv(path, unit: str) -> TimeSeries:
     if missing:
         frac = missing / n
         if frac > _MAX_MISSING_FRACTION:
-            raise TooSparseError(
+            raise InputError(
                 f"{missing}/{n} samples missing "
                 f"({100 * frac:.1f}% > {100 * _MAX_MISSING_FRACTION:.0f}%)")
         if present.sum() < 2:
-            raise TooSparseError("fewer than two observed samples")
+            raise InputError("fewer than two observed samples")
         grid = np.arange(n)
         full[~present] = np.interp(grid[~present], grid[present],
                                    full[present])
@@ -307,14 +300,14 @@ def block_average(values: np.ndarray, period: int,
     """
     new_period = int(new_period)
     if new_period <= 0 or new_period % period != 0:
-        raise ResampleError(
+        raise InputError(
             f"target period {new_period} s is not a multiple of "
             f"{period} s")
     factor = new_period // period
     n = values.shape[-1]
     n_blocks = n // factor
     if n_blocks == 0:
-        raise ResampleError("series shorter than one target block")
+        raise InputError("series shorter than one target block")
     kept = n_blocks * factor
     if kept != n:
         warnings.warn(f"resample drops {n - kept} trailing samples",
@@ -343,9 +336,7 @@ def mask_night(ghi: TimeSeries, threshold: float = 5.0) -> np.ndarray:
 class DailyFoldPlan:
     """A seeded partition of whole days into cross-validation folds."""
 
-    n_days: int
-    seed: int
-    folds: tuple = field(default_factory=tuple)  # tuple of tuples of day idx
+    folds: tuple  # tuple of tuples of day indices
 
     def train_test(self, fold: int):
         """Day indices for (train, test) where `fold` is the training fold."""
@@ -361,14 +352,8 @@ def make_folds(n_days: int, seed: int) -> DailyFoldPlan:
     Fold sizes differ by at most one.  Deterministic for a given seed.
     """
     if n_days < _N_FOLDS:
-        raise FoldError(f"need at least {_N_FOLDS} days, got {n_days}")
+        raise InputError(f"need at least {_N_FOLDS} days, got {n_days}")
     perm = np.random.default_rng(seed).permutation(n_days)
-    base, extra = divmod(n_days, _N_FOLDS)
-    folds = []
-    pos = 0
-    for i in range(_N_FOLDS):
-        size = base + (1 if i < extra else 0)
-        folds.append(tuple(int(d) for d in perm[pos:pos + size]))
-        pos += size
-    return DailyFoldPlan(n_days=n_days, seed=seed, folds=tuple(folds))
+    return DailyFoldPlan(tuple(tuple(int(d) for d in fold)
+                               for fold in np.array_split(perm, _N_FOLDS)))
 

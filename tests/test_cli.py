@@ -282,6 +282,24 @@ def test_fit_needs_the_method_parameter(pipeline, tmp_path, capsys, method,
     assert not model.exists()
 
 
+@pytest.mark.parametrize("method, flag, value", [
+    ("B", "--lam", "nan"), ("B", "--lam", "inf"),
+    ("A", "--night-threshold", "nan")])
+def test_fit_refuses_a_non_finite_setting(pipeline, tmp_path, capsys, method,
+                                          flag, value):
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", method, flag, value,
+                 "--out-model", str(model)])
+    assert code == 2
+    assert (f"{flag[2:].replace('-', '_')} must be finite, got {value}"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
 def test_fit_degenerate_band_exits_3(pipeline, tmp_path, capsys):
     # an all-dark sky leaves nothing in any pass band: the robust fit
     # refuses rather than returning an arbitrary capacity
@@ -501,13 +519,24 @@ _A_AND_D = [{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
     # c would fan D out into two identical grid points
     ({"methods": _A_AND_D[:1] + [{**_A_AND_D[1], "c": [5, 10]}],
       "resolutions_s": [300]}, "method D takes no c"),
+    ({"methods": [{"method": "A"}, {"method": "B", "lam": float("nan")}],
+      "resolutions_s": [300]}, "lam must be finite, got nan"),
+    ({"methods": [{"method": "A"}, {"method": "B", "lam": [1.0, np.inf]}],
+      "resolutions_s": [300]}, "lam must be finite, got inf"),
+    ({"methods": [{"method": "A",
+                   "night_threshold_w_per_m2": float("nan")}],
+      "resolutions_s": [300]}, "night_threshold must be finite, got nan"),
+    ({"methods": [{"method": "A"}], "resolutions_s": [300], "fold_seed": -1},
+     "fold_seed: expected a nonnegative integer, got -1"),
 ], ids=["last-entry", "last-resolution", "not-a-multiple",
         "not-a-day-divisor", "fraction-above-one", "padding-over-a-day",
-        "foreign-parameter"])
+        "foreign-parameter", "lam-nan", "lam-inf", "night-threshold-nan",
+        "negative-fold-seed"])
 def test_sweep_checks_the_whole_grid_before_any_fit(
         tmp_path, capsys, monkeypatch, config, message):
-    """A grid point any of whose fits would be refused exits 2 before the
-    scenario is built, not after the fits listed before it."""
+    """A grid point any of whose fits would be refused, or a fold seed
+    the folds would refuse, exits 2 before the scenario is built, not
+    after the fits listed before it."""
     calls = []
     real_fit = evaluation.fit
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import signal
 
 from pvdisagg.dsp import apply_array, design_bandpass, frequency_response
-from pvdisagg.errors import DesignError, TooShortError
+from pvdisagg.errors import InputError
 
 BAND = (1.0 / 7200.0, 1.0 / 600.0)  # the default training band, Hz
 RATE = 0.1  # 10 s sampling
@@ -23,8 +23,14 @@ def test_design_is_three_sections():
     (-0.001, 0.01, 0.1),    # negative
 ])
 def test_design_rejects_bad_bands(f_low, f_high, rate):
-    with pytest.raises(DesignError):
+    with pytest.raises(InputError, match="need 0 < f_low < f_high < rate/2"):
         design_bandpass(f_low, f_high, rate)
+
+
+def test_design_rejects_a_band_too_narrow_to_discretize():
+    # a decade at 1e-10 of the sample rate rounds the poles onto the circle
+    with pytest.raises(InputError, match="not strictly inside the unit"):
+        design_bandpass(1e-10, 1e-9, 1.0)
 
 
 def test_edge_gain_is_half_power():
@@ -139,7 +145,8 @@ def test_apply_is_linear():
 
 def test_apply_too_short_series():
     filt = design_bandpass(*BAND, RATE)
-    with pytest.raises(TooShortError):
+    with pytest.raises(InputError, match=r"series of 10 samples cannot carry "
+                                         r"the forward-backward edge padding"):
         apply_array(filt, np.ones(10))
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pvdisagg.errors import AlignmentError
+from pvdisagg.errors import InputError
 from pvdisagg.evaluation import (ScenarioSpec, SweepResult, SweepRow,
                                  _telegraph, aggregate_stats, compute_metrics,
                                  generate_scenario, penetration_experiment,
@@ -53,7 +53,7 @@ def test_metrics_ordering_on_random_instances():
 
 
 def test_metrics_require_alignment():
-    with pytest.raises(AlignmentError):
+    with pytest.raises(InputError, match="series grids differ"):
         compute_metrics(make_series([1.0, 2.0], period=10),
                         make_series([1.0, 2.0], period=30), 10.0)
 

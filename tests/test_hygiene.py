@@ -1,11 +1,14 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Seven rules: a module uses every name it imports (``__init__.py`` is
+Eight rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
 exception class in ``errors.py`` is raised somewhere in the package, or
 is a base class of one that is, so the taxonomy holds no dead types;
+every exception class in ``errors.py`` is named by some ``except``
+clause in the package, or is a base class of one that is, since a type
+no handler tells apart from its family is a message, not a distinction;
 every private module-level name (one underscore, not a dunder) is read
 somewhere in the package, so no helper or constant outlives its caller;
 only ``methods.fit`` reads ``perf_counter``, so every reported time
@@ -67,19 +70,12 @@ def local_package_imports(tree) -> list:
     return found
 
 
-def unraised_exceptions(errors_tree, trees) -> list:
-    """Exception classes of errors_tree that no raise statement in trees
-    names, directly or through a subclass."""
+def _unnamed(errors_tree, named) -> list:
+    """Classes of errors_tree that are neither in named nor a base, in
+    turn, of one that is."""
     bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
              for node in errors_tree.body if isinstance(node, ast.ClassDef)}
-    live = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = (node.exc.func if isinstance(node.exc, ast.Call)
-                       else node.exc)
-                if isinstance(exc, ast.Name):
-                    live.add(exc.id)
+    live = set(named)
     stack = list(live)
     while stack:
         for base in bases.get(stack.pop(), []):
@@ -87,6 +83,33 @@ def unraised_exceptions(errors_tree, trees) -> list:
                 live.add(base)
                 stack.append(base)
     return sorted(set(bases) - live)
+
+
+def unraised_exceptions(errors_tree, trees) -> list:
+    """Exception classes of errors_tree that no raise statement in trees
+    names, directly or through a subclass."""
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = (node.exc.func if isinstance(node.exc, ast.Call)
+                       else node.exc)
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return _unnamed(errors_tree, raised)
+
+
+def uncaught_exceptions(errors_tree, trees) -> list:
+    """Exception classes of errors_tree that no except clause in trees
+    names, directly or through a subclass."""
+    caught = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = (node.type.elts if isinstance(node.type, ast.Tuple)
+                         else [node.type])
+                caught.update(t.id for t in types if isinstance(t, ast.Name))
+    return _unnamed(errors_tree, caught)
 
 
 def _private(name) -> bool:
@@ -266,6 +289,12 @@ def test_every_exception_is_raised():
                                [_tree(p) for p in MODULES]) == []
 
 
+def test_every_exception_is_caught():
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    assert uncaught_exceptions(_tree(errors),
+                               [_tree(p) for p in MODULES]) == []
+
+
 def test_every_private_name_is_used():
     assert orphan_private_names([_tree(p) for p in MODULES]) == []
 
@@ -301,6 +330,10 @@ def test_checks_catch_what_they_forbid():
                      "    if x:\n        raise Used('no')\n"
                      "    raise ValueError\n")
     assert unraised_exceptions(errors, [user]) == ["Dead"]
+    handler = ast.parse("try:\n    f(1)\nexcept (Base, OSError):\n"
+                        "    pass\nexcept ValueError as exc:\n"
+                        "    raise Dead('x') from exc\n")
+    assert uncaught_exceptions(errors, [user, handler]) == ["Dead", "Used"]
     module = ast.parse("_LIMIT = 3\n_TOL, _OLD = 1e-9, 2\n__all__ = []\n"
                        "def _helper():\n    return _LIMIT\n"
                        "def _orphan():\n    return _helper()\n"

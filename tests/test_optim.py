@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import lsq_linear, nnls
 
 from pvdisagg import optim
-from pvdisagg.errors import DegenerateWeightsError, NotConvexError
+from pvdisagg.errors import SolverError
 from pvdisagg.optim import (QuadraticProgram, _wls, irls_bisquare,
                             psd_check_and_regularize, solve_l1_trend_qp,
                             solve_lp, solve_qp)
@@ -136,7 +136,8 @@ def test_qp_rejects_indefinite_cost():
     h = np.diag([1.0, -1.0])
     prog = QuadraticProgram(h=sp.csc_matrix(h), f=np.zeros(2),
                             nonneg=np.array([True, True]))
-    with pytest.raises(NotConvexError):
+    with pytest.raises(SolverError,
+                       match=r"not positive semidefinite \(min eig -1\)"):
         solve_qp(prog)
 
 
@@ -147,7 +148,7 @@ def test_qp_rejects_a_slightly_indefinite_cost():
     h = q @ np.diag([-1e-6, 1.0, 2.0]) @ q.T
     prog = QuadraticProgram(h=0.5 * (h + h.T), f=np.ones(3),
                             nonneg=np.ones(3, dtype=bool))
-    with pytest.raises(NotConvexError, match="min eig -1e-06"):
+    with pytest.raises(SolverError, match="min eig -1e-06"):
         solve_qp(prog)
 
 
@@ -520,7 +521,7 @@ def test_irls_degenerate_weights_raise(monkeypatch):
     monkeypatch.setattr(optim, "_BISQUARE_TUNING", 0.01)
     x = np.ones((2, 1))
     y = np.array([0.0, 1.0])
-    with pytest.raises(DegenerateWeightsError):
+    with pytest.raises(SolverError, match="every sample weight is zero"):
         irls_bisquare(x, y)
 
 

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdisagg import timeseries
-from pvdisagg.errors import (FoldError, FormatError, GridError,
-                             ResampleError, TooSparseError)
+from pvdisagg.errors import FormatError, InputError
 from pvdisagg.timeseries import (SECONDS_PER_DAY, UNIT_KW, UNIT_W_PER_M2,
                                  TimeSeries, check_aligned, ingest_csv,
                                  make_folds, mask_night, resample_average,
@@ -34,8 +33,19 @@ def _epoch_rows(epochs, values):
 # --- construction ----------------------------------------------------------
 
 def test_period_must_divide_a_day():
-    with pytest.raises(GridError):
+    with pytest.raises(InputError, match="period 7 s does not divide one day"):
         make_series([1.0, 2.0], period=7)
+
+
+def test_period_must_be_positive():
+    with pytest.raises(InputError, match="period must be positive, got 0"):
+        make_series([1.0, 2.0], period=0)
+
+
+def test_n_days_needs_whole_days():
+    with pytest.raises(InputError,
+                       match="does not cover a whole number of days"):
+        make_series(np.ones(5), period=SECONDS_PER_DAY // 4).n_days
 
 
 def test_values_must_be_finite():
@@ -78,7 +88,18 @@ def test_ingest_interpolates_one_missing_row(tmp_path, monkeypatch):
 def test_ingest_nonuniform_grid(tmp_path):
     epochs = [START, START + 10, START + 20, START + 31]
     path = _write(tmp_path, _epoch_rows(epochs, [1, 1, 1, 1]))
-    with pytest.raises(GridError):
+    with pytest.raises(InputError, match="not on a uniform 10 s grid"):
+        ingest_csv(path, UNIT_KW)
+
+
+@pytest.mark.parametrize("epochs, message", [
+    ([START], "need at least two samples to establish a grid"),
+    ([START, START + 20, START + 10], "must be strictly increasing"),
+    ([START, START + 7, START + 14], "inferred period 7 s does not divide"),
+], ids=["one-row", "decreasing", "no-day-divisor"])
+def test_ingest_refuses_a_file_without_a_grid(tmp_path, epochs, message):
+    path = _write(tmp_path, _epoch_rows(epochs, [1.0] * len(epochs)))
+    with pytest.raises(InputError, match=message):
         ingest_csv(path, UNIT_KW)
 
 
@@ -87,7 +108,15 @@ def test_ingest_too_sparse(tmp_path):
     epochs = [START + 10 * k for k in range(21) if k not in (5, 6)]
     vals = [1.0] * len(epochs)
     path = _write(tmp_path, _epoch_rows(epochs, vals))
-    with pytest.raises(TooSparseError):
+    with pytest.raises(InputError,
+                       match=r"2/21 samples missing \(9\.5% > 5%\)"):
+        ingest_csv(path, UNIT_KW)
+
+
+def test_ingest_needs_two_observed_samples(tmp_path, monkeypatch):
+    monkeypatch.setattr(timeseries, "_MAX_MISSING_FRACTION", 0.5)
+    path = _write(tmp_path, _epoch_rows([START, START + 10], [1.0, "nan"]))
+    with pytest.raises(InputError, match="fewer than two observed samples"):
         ingest_csv(path, UNIT_KW)
 
 
@@ -287,8 +316,16 @@ def test_resample_to_quarter_hour_preserves_mean():
 
 def test_resample_rejects_non_multiple():
     s = make_series(np.ones(10), period=10)
-    with pytest.raises(ResampleError):
+    with pytest.raises(InputError,
+                       match="target period 25 s is not a multiple of 10 s"):
         resample_average(s, 25)
+
+
+def test_resample_needs_one_whole_block():
+    s = make_series(np.ones(2), period=10)
+    with pytest.raises(InputError,
+                       match="series shorter than one target block"):
+        resample_average(s, 30)
 
 
 def test_resample_drops_partial_block_with_warning():
@@ -332,7 +369,7 @@ def test_folds_partition_all_days():
 
 
 def test_folds_need_three_days():
-    with pytest.raises(FoldError):
+    with pytest.raises(InputError, match="need at least 3 days, got 2"):
         make_folds(2, seed=0)
 
 
@@ -379,8 +416,7 @@ def test_mask_night_duty_cycle_matches_sun_geometry():
 
 
 def test_check_aligned_raises_on_grid_mismatch():
-    from pvdisagg.errors import AlignmentError
     a = make_series([1, 2, 3], period=10)
     b = make_series([1, 2, 3], period=30)
-    with pytest.raises(AlignmentError):
+    with pytest.raises(InputError, match="series grids differ"):
         check_aligned(a, b)
