@@ -32,7 +32,6 @@ from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
 
 _PARAM_KEYS = {  # YAML key -> MethodParams field
     "lam": "lam", "c": "c", "f_low_hz": "f_low", "f_high_hz": "f_high",
-    "night_threshold_w_per_m2": "night_threshold",
 }
 _SWEEP_KEYS = ("scenario", "methods", "mode", "fold_seed")
 _MODE_KEYS = {"cv": ("resolutions_s",),
@@ -137,8 +136,7 @@ def _method_params_from_args(args, period: int) -> MethodParams:
         method=args.method, sampling_period=period,
         lam=args.lam, c=args.c,
         f_low=_cutoff_hz(args.f_low_hz, args.f_low_s, "--f-low"),
-        f_high=_cutoff_hz(args.f_high_hz, args.f_high_s, "--f-high"),
-        night_threshold=args.night_threshold)
+        f_high=_cutoff_hz(args.f_high_hz, args.f_high_s, "--f-high"))
 
 
 def cmd_fit(args) -> int:
@@ -153,9 +151,7 @@ def cmd_fit(args) -> int:
         bank = bank.resampled(period)
 
     params = _method_params_from_args(args, period)
-    night = None if args.no_night_mask else mask_night(
-        ghi, params.night_threshold)
-    cap, l_hat, seconds = fit(p, bank, params, night_mask=night)
+    cap, l_hat, seconds = fit(p, bank, params, night_mask=mask_night(ghi))
 
     cfg = {"site": site_cfg, "params": params.to_dict()}
     model_doc = {
@@ -399,10 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="low cutoff as a period instead of a frequency")
     p.add_argument("--f-high-s", type=float, default=None, metavar="SECONDS",
                    help="high cutoff as a period instead of a frequency")
-    p.add_argument("--night-threshold", type=float, default=5.0,
-                   metavar="W_PER_M2")
-    p.add_argument("--no-night-mask", action="store_true",
-                   help="keep night samples even for methods A and D")
     p.add_argument("--out-model", required=True, metavar="JSON")
     p.add_argument("--out-report", default=None, metavar="JSON")
     p.set_defaults(func=cmd_fit)

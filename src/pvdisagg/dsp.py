@@ -66,9 +66,15 @@ def design_bandpass(f_low: float, f_high: float,
         raise InputError(
             "discretized poles not strictly inside the unit circle "
             "(band too extreme for this sample rate)")
+    try:
+        zi = signal.sosfilt_zi(sos)
+    except np.linalg.LinAlgError:
+        raise InputError(
+            f"f_low={f_low:g} Hz and f_high={f_high:g} Hz are too low for "
+            f"rate {sample_rate:g} Hz: the filter's steady state is "
+            f"singular") from None
     return BandpassFilter(float(sample_rate), sos,
-                          int(np.ceil(-1.0 / np.log(worst))),
-                          signal.sosfilt_zi(sos))
+                          int(np.ceil(-1.0 / np.log(worst))), zi)
 
 
 def frequency_response(filt: BandpassFilter, freqs) -> np.ndarray:

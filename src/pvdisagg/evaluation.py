@@ -430,8 +430,7 @@ def _fit_and_score(p, ghi, g_true, bank, params: MethodParams,
     params = dataclasses.replace(params, sampling_period=p.period)
     idx_tr = _day_index(train_days, p.samples_per_day)
     idx_te = _day_index(test_days, p.samples_per_day)
-    night = mask_night(ghi.with_values(ghi.values[idx_tr]),
-                       params.night_threshold)
+    night = mask_night(ghi.with_values(ghi.values[idx_tr]))
     cap, _, seconds = fit(p.with_values(p.values[idx_tr]),
                           bank.sliced(idx_tr, start_epoch=p.start_epoch),
                           params, night_mask=night)

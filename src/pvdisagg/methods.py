@@ -12,10 +12,15 @@ from the generation signature:
   A  -- L1 fit on sample-to-sample differences (demand drops out when it
         moves slower than irradiance).
   B  -- joint quadratic fit of (L, alpha) with a total-variation penalty
-        keeping L piecewise-constant.
-  C  -- joint quadratic fit with L held constant on fixed-length blocks.
+        (weight lam > 0) keeping L piecewise-constant.
+  C  -- joint quadratic fit with L held constant on blocks of c >= 2
+        samples.
   D  -- band-pass both sides so only cloud-band fluctuations remain, then
         a bisquare-weighted robust regression on the filtered signals.
+
+B's and C's demand model is what tells L apart from G: lam = 0 or c = 1
+leaves L free per sample, L absorbs P, and every alpha with P + G >= 0
+fits exactly, so both settings are refused.
 
 Estimators take starts, the first sample of every segment (by default
 one segment); nothing they fit crosses a segment start.  fit sets them.
@@ -41,11 +46,6 @@ KW_PER_WM2 = 1e-3  # irradiance templates are W/m^2, capacities kWp
 
 # projected-Newton envelope fit of B and C
 _ENVELOPE_TOL = 1e-8       # relative projected-gradient certificate
-# F >= 0, so F(a) itself bounds F(a) - min F.  Once F(a) is at most a
-# rounding-level share of F(0) (c = 1 or lam = 0 can interpolate P
-# exactly), a is optimal to that relative gap, and the projected
-# gradient, whose terms no longer shrink with F, need not certify it.
-_ENVELOPE_ZERO = np.finfo(float).eps
 _MAX_NEWTON_STEPS = 100
 _ARMIJO = 1e-4             # sufficient-decrease fraction of the backtracking
 _MIN_STEP = 1e-12
@@ -86,7 +86,6 @@ class MethodParams:
     c: Optional[int] = None  # required by C
     f_low: Optional[float] = None
     f_high: Optional[float] = None
-    night_threshold: float = 5.0
 
     def validate(self) -> None:
         if self.method not in ("A", "B", "C", "D"):
@@ -99,16 +98,17 @@ class MethodParams:
                 f"method {self.method} takes no {', '.join(foreign)}")
         if self.sampling_period <= 0:
             raise ValueError("sampling_period must be positive")
-        for name in ("lam", "night_threshold"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.method == "B" and (self.lam is None or self.lam < 0):
-            raise ValueError(f"method B needs lam >= 0, got {self.lam}")
-        if self.method == "C" and (self.c is None or int(self.c) != self.c
-                                   or self.c < 1):
+        if self.lam is not None and not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if self.method == "B" and (self.lam is None or self.lam <= 0):
             raise ValueError(
-                f"method C needs c, a positive integer, got {self.c}")
+                f"method B needs lam > 0, got {self.lam}: free per-sample "
+                f"demand leaves the capacities unidentified")
+        if self.method == "C" and (self.c is None or int(self.c) != self.c
+                                   or self.c < 2):
+            raise ValueError(
+                f"method C needs c, an integer >= 2, got {self.c}: free "
+                f"per-sample demand leaves the capacities unidentified")
         if self.method == "D":
             if self.f_low is None or self.f_high is None:
                 raise ValueError("method D needs f_low and f_high")
@@ -124,7 +124,6 @@ class MethodParams:
             out["c"] = int(self.c)
         if self.method == "D":
             out.update(f_low=self.f_low, f_high=self.f_high)
-        out["night_threshold"] = self.night_threshold
         return out
 
 
@@ -217,9 +216,8 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
     over a >= 0 exactly, by solve_qp's one nnls on an eigen-root of W'W
     (singular when plane mixes coincide on the runs), and backtracks
     (Armijo) on the exact F; the loop stops when the projected gradient,
-    relative to the size of the terms it sums, is at most _ENVELOPE_TOL,
-    or when F(a) is at most _ENVELOPE_ZERO * F(0).  Returns (capacities,
-    demand trajectory).
+    relative to the size of the terms it sums, is at most _ENVELOPE_TOL.
+    Returns (capacities, demand trajectory).
     """
     k, j = len(p), bank.n_planes
     if k < j + 1:
@@ -236,7 +234,6 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
 
     a = np.zeros(j)
     obj, l, starts, r = evaluate(a)
-    obj_zero = obj
     evaluations = 1
     report = SolverReport(status="max_iter", primal_residual=0.0)
     for report.iterations in range(_MAX_NEWTON_STEPS + 1):
@@ -248,8 +245,7 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
         report.dual_residual = float(
             np.max(np.abs(a - np.clip(a - grad, 0.0, None)))
             / (1.0 + np.max(np.abs(c_s).T @ np.abs(r))))
-        if (report.dual_residual <= _ENVELOPE_TOL
-                or obj <= _ENVELOPE_ZERO * obj_zero):
+        if report.dual_residual <= _ENVELOPE_TOL:
             report.status, report.converged = "solved", True
             break
         if report.iterations == _MAX_NEWTON_STEPS:
@@ -279,16 +275,6 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand):
                            report), p.with_values(l, unit=UNIT_KW))
 
 
-def _block_demand(starts: np.ndarray, k: int):
-    """Demand map of C: each block's mean of y, clipped at zero."""
-    counts = np.diff(np.append(starts, k))
-
-    def demand(y):
-        level = np.add.reduceat(y, starts) / counts
-        return np.repeat(np.clip(level, 0.0, None), counts), starts, 0.0
-    return demand
-
-
 def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
                  starts: Sequence[int] = (0,)):
     """Joint (L, alpha) quadratic fit with a total-variation penalty on L.
@@ -296,24 +282,20 @@ def fit_method_b(p: TimeSeries, bank: PlaneBank, lam: float, *,
     Objective: sum (P - (L - G))^2 + lam * sum |L_{i+1} - L_i|, with
     L >= 0 and alpha >= 0; differences never straddle a segment start.
     For fixed alpha the best L is the total-variation prox of P + G with
-    weight lam/2, clipped at zero (solve_l1_trend_qp).  Returns
-    (capacities, demand trajectory).
+    weight lam/2, clipped at zero (solve_l1_trend_qp).  lam must be
+    positive: with lam = 0 the demand is free per sample and the
+    capacities are not identified.  Returns (capacities, demand
+    trajectory).
     """
     _check_bank(p, bank)
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if lam == 0:
-        # L is free per sample, as in C with c = 1.  The trend solver would
-        # give the same L, but its runs merge equal neighbours, which puts
-        # the Newton step on the wrong piece of the envelope.
-        demand = _block_demand(np.arange(len(p)), len(p))
-    else:
-        mu = lam / 2.0  # the fit's 0.5 |L - y|^2 halves the stated ratio
+    if not lam > 0:
+        raise ValueError("lam must be > 0")
+    mu = lam / 2.0  # the fit's 0.5 |L - y|^2 halves the stated ratio
 
-        def demand(y):
-            l, tv = solve_l1_trend_qp(y, mu, starts)
-            runs = np.union1d(starts, np.flatnonzero(l[1:] != l[:-1]) + 1)
-            return l, runs, mu * tv
+    def demand(y):
+        l, tv = solve_l1_trend_qp(y, mu, starts)
+        runs = np.union1d(starts, np.flatnonzero(l[1:] != l[:-1]) + 1)
+        return l, runs, mu * tv
     return _fit_envelope(p, bank, demand)
 
 
@@ -323,18 +305,23 @@ def fit_method_c(p: TimeSeries, bank: PlaneBank, c: int, *,
 
     Blocks restart at every segment start; a trailing shorter block is
     constrained the same way.  For fixed alpha the best level of each
-    block is its mean of P + G, clipped at zero.  c = 1 leaves L free per
-    sample (the fit is then an interpolation with zero residual and the
-    capacities are not identified).
+    block is its mean of P + G, clipped at zero.  c must be at least 2:
+    c = 1 leaves L free per sample, and the capacities are not
+    identified.
     """
     _check_bank(p, bank)
     c = int(c)
-    if c < 1:
-        raise ValueError("c must be a positive integer")
+    if c < 2:
+        raise ValueError("c must be an integer >= 2")
     k = len(p)
     offset = np.arange(k) - np.repeat(starts, np.diff(starts, append=k))
     blocks = np.flatnonzero(offset % c == 0)  # block starts
-    return _fit_envelope(p, bank, _block_demand(blocks, k))
+    counts = np.diff(np.append(blocks, k))
+
+    def demand(y):
+        level = np.add.reduceat(y, blocks) / counts
+        return np.repeat(np.clip(level, 0.0, None), counts), blocks, 0.0
+    return _fit_envelope(p, bank, demand)
 
 
 def fit_method_d(p: TimeSeries, bank: PlaneBank,
@@ -400,12 +387,20 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     starts.  The night mask (daylight True) is honored by the difference
     and band-pass methods only; the joint quadratic fits B and C keep the
     full grid because their demand block needs the night samples to
-    anchor L.
+    anchor L.  params must carry P's sampling period, and a bank that is
+    zero on every sample (an all-dark GHI) is refused before any solver
+    runs: no estimator can tell capacities apart from it.
     Returns (CapacityVector, demand TimeSeries or None, wall seconds); the
     seconds, the package's one clock, time the whole estimator (filter
     design, filtering, assembly and solve) and are also report.wall_time.
     """
     params.validate()
+    if params.sampling_period != p.period:
+        raise InputError(f"params are for {params.sampling_period} s "
+                         f"samples, P is sampled every {p.period} s")
+    if not np.any(bank.irradiance):
+        raise InputError("the plane bank is zero on every sample (is GHI "
+                         "all zero?): no irradiance identifies a capacity")
     # the solvers import scipy when first called; loading it here keeps
     # the reported seconds the fit alone (only D filters, with scipy.signal)
     importlib.import_module("scipy.optimize")

@@ -28,6 +28,7 @@ SECONDS_PER_DAY = 86400
 _ROWS_PER_BLOCK = 4096  # rows whose time stamps write_table formats at once
 _MAX_MISSING_FRACTION = 0.05  # largest share of the grid ingest repairs
 _N_FOLDS = 3  # day folds of make_folds
+_NIGHT_W_PER_M2 = 5.0  # GHI at or below which mask_night calls it night
 
 
 @dataclass(eq=False)
@@ -325,11 +326,11 @@ def resample_average(series: TimeSeries, new_period: int) -> TimeSeries:
                                     new_period), series.unit)
 
 
-def mask_night(ghi: TimeSeries, threshold: float = 5.0) -> np.ndarray:
-    """Boolean mask of daylight samples (GHI above threshold, in W/m2)."""
+def mask_night(ghi: TimeSeries) -> np.ndarray:
+    """Boolean mask of daylight samples (GHI above _NIGHT_W_PER_M2)."""
     if ghi.unit != UNIT_W_PER_M2:
         raise ValueError(f"mask_night expects a {UNIT_W_PER_M2} series")
-    return ghi.values > threshold
+    return ghi.values > _NIGHT_W_PER_M2
 
 
 @dataclass(frozen=True)

@@ -283,8 +283,7 @@ def test_fit_needs_the_method_parameter(pipeline, tmp_path, capsys, method,
 
 
 @pytest.mark.parametrize("method, flag, value", [
-    ("B", "--lam", "nan"), ("B", "--lam", "inf"),
-    ("A", "--night-threshold", "nan")])
+    ("B", "--lam", "nan"), ("B", "--lam", "inf")])
 def test_fit_refuses_a_non_finite_setting(pipeline, tmp_path, capsys, method,
                                           flag, value):
     model = tmp_path / "m.json"
@@ -300,25 +299,70 @@ def test_fit_refuses_a_non_finite_setting(pipeline, tmp_path, capsys, method,
     assert not model.exists()
 
 
-def test_fit_degenerate_band_exits_3(pipeline, tmp_path, capsys):
-    # an all-dark sky leaves nothing in any pass band: the robust fit
-    # refuses rather than returning an arbitrary capacity
+@pytest.mark.parametrize("method, flag, value", [
+    ("B", "--lam", "0"), ("C", "--c", "1")])
+def test_fit_refuses_a_setting_that_leaves_demand_free(
+        pipeline, tmp_path, capsys, method, flag, value):
+    """lam = 0 and c = 1 let the demand absorb P sample by sample: every
+    alpha with P + G >= 0 scores a zero objective, so no answer would be
+    the plant's, and both are refused before any fit."""
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", method, flag, value,
+                 "--out-model", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"method {method} needs {flag[2:]}" in err
+    assert "leaves the capacities unidentified" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("A", []), ("B", ["--lam", "1"]), ("C", ["--c", "10"]),
+    ("D", ["--f-low-hz", str(1 / 7200), "--f-high-hz", str(1 / 1200)])],
+    ids=["A", "B", "C", "D"])
+def test_fit_refuses_an_all_dark_sky(pipeline, tmp_path, capsys, method,
+                                     flags):
+    """GHI zero on every sample makes the whole bank zero, which no
+    method can fit a capacity to: all four exit 2 with one message
+    before any solver runs."""
     zero = make_series(np.zeros(288), period=300, unit=UNIT_W_PER_M2)
     tair = make_series(np.full(288, 20.0), period=300, unit=UNIT_CELSIUS)
     p = make_series(np.full(288, 5.0), period=300)
     write_csv(zero, tmp_path / "ghi0.csv")
     write_csv(tair, tmp_path / "tair.csv")
     write_csv(p, tmp_path / "p.csv")
+    model = tmp_path / "m.json"
     code = main(["fit", "--site", str(pipeline["site"]),
                  "--ghi", str(tmp_path / "ghi0.csv"),
                  "--t-air", str(tmp_path / "tair.csv"),
                  "--p", str(tmp_path / "p.csv"),
-                 "--method", "D",
-                 "--f-low-hz", str(1 / 7200), "--f-high-hz", str(1 / 1200),
-                 "--no-night-mask",
-                 "--out-model", str(tmp_path / "m.json")])
-    assert code == 3
-    assert "solver error" in capsys.readouterr().err
+                 "--method", method, *flags, "--out-model", str(model)])
+    assert code == 2
+    assert ("error: the plane bank is zero on every sample"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
+def test_fit_names_a_band_the_filter_cannot_settle(pipeline, tmp_path,
+                                                    capsys):
+    # the sections' steady state is a singular solve at this band; the
+    # error names the band and the rate, not just the matrix
+    model = tmp_path / "m.json"
+    code = main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", "D", "--period-s", "300",
+                 "--f-low-hz", "1e-12", "--f-high-hz", "2e-12",
+                 "--out-model", str(model)])
+    assert code == 2
+    assert ("f_low=1e-12 Hz and f_high=2e-12 Hz are too low for rate "
+            "0.00333333 Hz" in capsys.readouterr().err)
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("with_point", [True, False],
@@ -523,15 +567,24 @@ _A_AND_D = [{"method": "A"}, {"method": "D", "f_low_hz": 0.0002,
       "resolutions_s": [300]}, "lam must be finite, got nan"),
     ({"methods": [{"method": "A"}, {"method": "B", "lam": [1.0, np.inf]}],
       "resolutions_s": [300]}, "lam must be finite, got inf"),
+    # the night level is a constant, no longer a sweep key
     ({"methods": [{"method": "A",
                    "night_threshold_w_per_m2": float("nan")}],
-      "resolutions_s": [300]}, "night_threshold must be finite, got nan"),
+      "resolutions_s": [300]}, "unknown method keys"),
     ({"methods": [{"method": "A"}], "resolutions_s": [300], "fold_seed": -1},
      "fold_seed: expected a nonnegative integer, got -1"),
+    # free per-sample demand leaves the capacities unidentified
+    ({"methods": [{"method": "A"}, {"method": "B", "lam": [1.0, 0.0]}],
+      "resolutions_s": [300]}, "method B needs lam > 0, got 0.0"),
+    ({"methods": [{"method": "A"}, {"method": "C", "c": [10, 1]}],
+      "resolutions_s": [300]}, "method C needs c, an integer >= 2, got 1"),
+    ({"methods": [{"method": "A"}, {"method": "D", "f_low_hz": 1e-12,
+                                    "f_high_hz": 2e-12}],
+      "resolutions_s": [300]}, "f_low=1e-12 Hz and f_high=2e-12 Hz"),
 ], ids=["last-entry", "last-resolution", "not-a-multiple",
         "not-a-day-divisor", "fraction-above-one", "padding-over-a-day",
         "foreign-parameter", "lam-nan", "lam-inf", "night-threshold-nan",
-        "negative-fold-seed"])
+        "negative-fold-seed", "lam-zero", "c-one", "singular-band"])
 def test_sweep_checks_the_whole_grid_before_any_fit(
         tmp_path, capsys, monkeypatch, config, message):
     """A grid point any of whose fits would be refused, or a fold seed

@@ -33,6 +33,14 @@ def test_design_rejects_a_band_too_narrow_to_discretize():
         design_bandpass(1e-10, 1e-9, 1.0)
 
 
+def test_design_rejects_a_band_whose_steady_state_is_singular():
+    # at 1e-9 of the sample rate the poles stay inside the circle, but the
+    # sections' unit-step steady state is a singular solve
+    with pytest.raises(InputError, match=r"f_low=1e-09 Hz and f_high=2e-09 "
+                                         r"Hz are too low for rate 1 Hz"):
+        design_bandpass(1e-9, 2e-9, 1.0)
+
+
 def test_edge_gain_is_half_power():
     filt = design_bandpass(*BAND, RATE)
     mags = np.abs(frequency_response(filt, np.array(BAND)))

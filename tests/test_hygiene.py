@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Eight rules: a module uses every name it imports (``__init__.py`` is
+Nine rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -18,7 +18,9 @@ by every call, and mutable (sequence defaults are tuples); and every
 defaulted parameter or dataclass field is set by some call or statement
 in the package, the acceptance tests or the benchmark harness, since a
 setting no caller varies is a constant, and belongs next to the code that
-reads it.
+reads it; and no ``assert`` statement checks anything in the package,
+since ``python -O`` strips them, and an invariant must hold under it
+(the package raises ``AssertionError`` explicitly instead).
 """
 
 import ast
@@ -271,6 +273,12 @@ def unpassed_defaults(trees, caller_trees) -> list:
     return found
 
 
+def assert_statements(tree) -> list:
+    """Every assert statement in tree, by line."""
+    return [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -312,6 +320,11 @@ def test_no_default_is_built_once_and_shared():
 def test_every_default_is_passed_by_some_call():
     assert unpassed_defaults([_tree(p) for p in MODULES],
                              [_tree(p) for p in CALLERS]) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    assert assert_statements(_tree(path)) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -373,3 +386,7 @@ def test_checks_catch_what_they_forbid():
     sets = ast.parse("P(h, 1.0)\nreport.wall = 2.0\n")
     assert unpassed_defaults([fields], [fields, sets]) == [
         "P.beta (line 2)", "P.tol (line 2)"]
+    asserts = ast.parse("def f(x):\n    assert x > 0, 'x'\n"
+                        "    if x:\n        raise AssertionError(x)\n"
+                        "    assert x\n")
+    assert assert_statements(asserts) == ["line 2", "line 5"]

@@ -276,14 +276,12 @@ def test_method_b_large_lambda_recovers_constant_demand():
 
 
 def test_method_b_lambda_zero_is_underdetermined():
-    """Free demand absorbs everything: residual 0, deficiency flagged."""
+    """With lam = 0 free demand absorbs everything, so B refuses it."""
     bank = textured_bank(60, 300)
     p = ts(5.0 - 1.5 * bank.irradiance[1] / 1000.0, 300)
-    cap, l_hat = fit_method_b(p, bank, lam=0.0)
-    assert cap.report.notes["rank_deficient"] is True
-    resid = p.values - (l_hat.values
-                        - predict_generation(cap, bank).values)
-    assert np.max(np.abs(resid)) < 1e-8
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lam must be > 0"):
+            fit_method_b(p, bank, lam=lam)
 
 
 # -------------------------------------------------------------- method C
@@ -328,38 +326,31 @@ def test_method_c_inrush_averages_into_its_block():
     assert abs(np.mean(l_hat.values[630:660]) - 5.0) < 0.1
 
 
-def test_method_c_unit_block_interpolates():
-    """c = 1 leaves demand free per sample, so the residual is zero."""
+def test_method_c_refuses_unit_blocks():
+    """c = 1 leaves demand free per sample, so C refuses it."""
     bank = textured_bank(288, 300)
     p = ts(6.0 - 1.0 * bank.irradiance[0] / 1000.0, 300)
-    cap, l_hat = fit_method_c(p, bank, c=1)
-    resid = p.values - (l_hat.values
-                        - predict_generation(cap, bank).values)
-    assert np.max(np.abs(resid)) < 1e-6
+    for c in (1, 0):
+        with pytest.raises(ValueError, match="c must be an integer >= 2"):
+            fit_method_c(p, bank, c=c)
 
 
 @pytest.mark.parametrize("params", [MethodParams("C", 60, c=1),
                                     MethodParams("B", 60, lam=0.0)],
                          ids=["C-c1", "B-lam0"])
-def test_interpolating_fit_converges_at_a_zero_objective(params):
-    """A 21-plane day fold where free per-sample demand interpolates P:
-    the objective falls to 1.7e-14 against F(0) = 3.2e4, where the
-    projected gradient no longer certifies it and the line search used to
-    stall (line_search, 208 evaluations).  F >= 0, so F(a) itself bounds
-    the gap, and the fit converges."""
+def test_fit_refuses_free_per_sample_demand(params):
+    """A 21-plane day fold where free per-sample demand would interpolate
+    P: the objective falls to rounding level at many alpha, none of them
+    identified, so fit refuses the setting."""
     data = generate_scenario(ScenarioSpec(seed=7, days=3, period_s=10))
     p_r = resample_average(data.p, 60)
     idx = np.concatenate([np.arange(d * 1440, (d + 1) * 1440)
                           for d in make_folds(3, 0).folds[0]])
     p = TimeSeries(p_r.start_epoch, 60, p_r.values[idx], UNIT_KW)
     bank = data.bank.resampled(60).sliced(idx, start_epoch=p_r.start_epoch)
-    cap, l_hat, _ = fit(p, bank, params, segment_length=1440)
-    f_zero = 0.5 * np.sum(np.minimum(p.values, 0.0) ** 2)
-    assert cap.report.converged and cap.report.status == "solved"
-    assert cap.report.objective <= methods._ENVELOPE_ZERO * f_zero
-    assert cap.report.notes["evaluations"] < 50
-    resid = p.values - (l_hat.values - predict_generation(cap, bank).values)
-    assert np.max(np.abs(resid)) < 1e-6
+    with pytest.raises(ValueError,
+                       match="leaves the capacities unidentified"):
+        fit(p, bank, params, segment_length=1440)
 
 
 # -------------------------------------------------------------- method D
@@ -678,6 +669,29 @@ def test_fit_cuts_two_whole_days_at_the_day_by_default(params):
         assert np.array_equal(l_hat.values, l_day.values)
 
 
+def test_fit_refuses_params_for_another_period():
+    """params record the period a fit ran at, so it must be P's."""
+    bank = textured_bank(1440, 60)
+    p = ts(5.0 - 2.0 * bank.irradiance[3] / 1000.0, 60)
+    with pytest.raises(InputError, match="params are for 30 s samples, "
+                                         "P is sampled every 60 s"):
+        fit(p, bank, MethodParams("D", 30, f_low=1 / 1200, f_high=1 / 240))
+
+
+def test_fit_refuses_a_zero_bank():
+    """A bank zero on every sample identifies no capacity: every method
+    gets the same InputError before any solver runs."""
+    k = 288
+    zero = PlaneBank(tuple(PlaneConfig(10.0 + 5 * j, 120.0 + 30 * j)
+                           for j in range(4)), np.zeros((4, k)), START, 300)
+    p = ts(np.full(k, 5.0), 300)
+    for params in (MethodParams("A", 300), MethodParams("B", 300, lam=1.0),
+                   MethodParams("C", 300, c=10),
+                   MethodParams("D", 300, f_low=1 / 7200, f_high=1 / 1200)):
+        with pytest.raises(InputError, match="zero on every sample"):
+            fit(p, zero, params)
+
+
 def test_fit_leaves_a_series_of_one_sample_a_day_whole():
     """A one-sample day cannot be a segment, so a daily series is fit as
     one segment, as it is with its whole length given."""
@@ -712,12 +726,14 @@ def test_fit_mask_policy():
     dict(method="E", sampling_period=60),
     dict(method="A", sampling_period=0),
     dict(method="B", sampling_period=60, lam=-1.0),
+    dict(method="B", sampling_period=60, lam=0.0),
     dict(method="C", sampling_period=60, c=0),
+    dict(method="C", sampling_period=60, c=1),
     dict(method="C", sampling_period=60, c=2.5),
     dict(method="D", sampling_period=60, f_high=1 / 240),
     dict(method="D", sampling_period=60, f_low=1 / 240, f_high=1 / 1200),
-    dict(method="B", sampling_period=60),  # lam = 0 and c = 1 interpolate
-    dict(method="C", sampling_period=60),  # P, so neither is a default
+    dict(method="B", sampling_period=60),  # lam = 0 and c = 1 are refused,
+    dict(method="C", sampling_period=60),  # so neither is a default
     # each method refuses the others' parameters
     dict(method="A", sampling_period=60, lam=3.0, c=7),
     dict(method="B", sampling_period=60, lam=1.0, f_low=1 / 1200),

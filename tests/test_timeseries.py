@@ -384,8 +384,12 @@ def test_train_test_split_is_disjoint():
 # --- masks and helpers -----------------------------------------------------
 
 def test_mask_night_threshold():
-    ghi = make_series([0.0, 5.0, 50.0], period=10, unit=UNIT_W_PER_M2)
-    assert list(mask_night(ghi, threshold=20.0)) == [False, False, True]
+    """Daylight is GHI strictly above the module's night level, 5 W/m2."""
+    night = timeseries._NIGHT_W_PER_M2
+    assert night == 5.0
+    ghi = make_series([0.0, night, np.nextafter(night, np.inf), 50.0],
+                      period=10, unit=UNIT_W_PER_M2)
+    assert list(mask_night(ghi)) == [False, False, True, True]
 
 
 def test_mask_night_all_dark():
@@ -408,9 +412,9 @@ def test_mask_night_duty_cycle_matches_sun_geometry():
                         inrush_per_day=0.0, self_consumption=False,
                         seed=7, cloud_kinds=("clear",))
     ghi = generate_scenario(spec).ghi
-    mask = mask_night(ghi, threshold=5.0)
+    mask = mask_night(ghi)
     sun = sun_position(ghi.timestamps(), SiteConfig(47.5, 7.5, 260.0, 0.2))
-    predicted = clearsky_ghi(sun.zenith) > 5.0
+    predicted = clearsky_ghi(sun.zenith) > timeseries._NIGHT_W_PER_M2
     # at most one sample of slack per sunrise/sunset crossing
     assert abs(int(mask.sum()) - int(predicted.sum())) <= 2
 
