@@ -270,29 +270,25 @@ def _tv_prox(y: list, lam: float) -> list:
         while k == n - 1:
             # right boundary: settle the open segment
             if umin < 0.0:
-                for i in range(k0, kminus + 1):
-                    x[i] = vmin
+                x[k0:kminus + 1] = [vmin] * (kminus + 1 - k0)
                 k0 = k = kminus = kminus + 1
                 vmin = y[k]
                 umin = lam
                 umax = vmin + lam - vmax
             elif umax > 0.0:
-                for i in range(k0, kplus + 1):
-                    x[i] = vmax
+                x[k0:kplus + 1] = [vmax] * (kplus + 1 - k0)
                 k0 = k = kplus = kplus + 1
                 vmax = y[k]
                 umax = -lam
                 umin = vmax - lam - vmin
             else:
                 vmin += umin / (k - k0 + 1)
-                for i in range(k0, n):
-                    x[i] = vmin
+                x[k0:] = [vmin] * (n - k0)
                 return x
         umin += y[k + 1] - vmin
         if umin < -lam:
             # negative jump after the last point where umin hit +lam
-            for i in range(k0, kminus + 1):
-                x[i] = vmin
+            x[k0:kminus + 1] = [vmin] * (kminus + 1 - k0)
             k0 = k = kplus = kminus = kminus + 1
             vmin = y[k]
             vmax = vmin + 2.0 * lam
@@ -301,8 +297,7 @@ def _tv_prox(y: list, lam: float) -> list:
         umax += y[k + 1] - vmax
         if umax > lam:
             # positive jump after the last point where umax hit -lam
-            for i in range(k0, kplus + 1):
-                x[i] = vmax
+            x[k0:kplus + 1] = [vmax] * (kplus + 1 - k0)
             k0 = k = kplus = kminus = kplus + 1
             vmax = y[k]
             vmin = vmax - 2.0 * lam

@@ -202,6 +202,23 @@ def test_fit_report_document(pipeline):
     assert doc["wall_time_s"] == model["train_seconds"] > 0.0
 
 
+def test_fit_report_says_where_b_started(pipeline, tmp_path):
+    report = tmp_path / "report_b.json"
+    assert main(["fit", "--site", str(pipeline["site"]),
+                 "--ghi", str(pipeline["data"] / "ghi.csv"),
+                 "--t-air", str(pipeline["data"] / "t_air.csv"),
+                 "--p", str(pipeline["data"] / "p.csv"),
+                 "--method", "B", "--lam", "1",
+                 "--out-model", str(tmp_path / "model_b.json"),
+                 "--out-report", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["converged"] is True
+    # B starts from C's fit on 900 s blocks of the 60 s samples
+    assert doc["start_c"] == 15
+    assert doc["start_evaluations"] >= 1
+    assert doc["evaluations"] >= 1
+
+
 def test_fit_accepts_cutoffs_as_periods(pipeline, tmp_path):
     out = tmp_path / "model_d.json"
     report = tmp_path / "report_d.json"
@@ -803,6 +820,30 @@ def test_only_fit_loads_scipy(pipeline, tmp_path):
     assert "scipy.signal" in seen.pop("fit")
     assert seen == {"import pvdisagg.cli": [], "transpose": [],
                     "disaggregate": [], "metrics": []}
+
+
+@pytest.mark.parametrize("method, flags", [
+    ("B", ["--lam", "1"]), ("D", ["--f-low-s", "7200", "--f-high-s", "600"])],
+    ids=["B", "D"])
+def test_fit_is_the_same_under_python_O(pipeline, tmp_path, method, flags):
+    """python -O strips assert statements; every check a fit relies on
+    raises instead, so the fit exits 0 with the same capacities."""
+    data = pipeline["data"]
+    src = str(Path(pvdisagg.__file__).resolve().parents[1])
+    alphas = []
+    for opt in ([], ["-O"]):
+        model = tmp_path / f"model{''.join(opt)}.json"
+        proc = subprocess.run(
+            [sys.executable, *opt, "-m", "pvdisagg.cli", "fit",
+             "--site", str(pipeline["site"]),
+             f"--ghi={data / 'ghi.csv'}", f"--t-air={data / 't_air.csv'}",
+             f"--p={data / 'p.csv'}", "--method", method, *flags,
+             "--out-model", str(model)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        alphas.append(json.loads(model.read_text())["alpha_kwp"])
+    assert alphas[0] == alphas[1]
 
 
 # ---------------------------------------------------------------------------

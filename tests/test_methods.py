@@ -626,6 +626,34 @@ def test_method_b_certified_and_unbeaten(seed, lam, j):
             >= obj - 1e-9 * (1.0 + obj)
 
 
+def test_method_b_start_from_c_keeps_the_cold_optimum():
+    """B's loop starts from C's capacities (blocks of about 900 s) but
+    certifies its own objective, so it lands where a loop from zero lands,
+    and the two fits together take fewer evaluations of B's prox-based
+    objective and C's block means than that cold loop."""
+    data = generate_scenario(ScenarioSpec(days=3, period_s=10, seed=1))
+    p = resample_average(data.p, 60)
+    bank = data.bank.resampled(60)
+    starts = np.arange(0, 3 * 1440, 1440)
+    mu = 0.5  # lam = 1
+
+    def demand(y):
+        l_vals, tv = solve_l1_trend_qp(y, mu, starts)
+        runs = np.union1d(starts, np.flatnonzero(np.diff(l_vals)) + 1)
+        return l_vals, runs, mu * tv
+    cold, _ = methods._fit_envelope(p, bank, demand, np.zeros(21))
+    cap, _ = fit_method_b(p, bank, 1.0, starts=starts)
+    notes = cap.report.notes
+    assert cold.report.converged and cap.report.converged
+    assert notes["start_c"] == 15
+    assert np.max(np.abs(cap.alpha - cold.alpha)) \
+        <= 1e-9 * np.max(cold.alpha)
+    assert cap.report.objective \
+        <= cold.report.objective * (1.0 + 1e-12)
+    assert notes["evaluations"] + notes["start_evaluations"] \
+        < cold.report.notes["evaluations"]
+
+
 # ------------------------------------------------------------ dispatcher
 
 def test_fit_returns_demand_only_for_joint_methods():
