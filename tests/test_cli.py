@@ -774,8 +774,8 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
 # ---------------------------------------------------------------------------
 # which modules each command loads
 
-_SOLVER_MODULES = ("scipy.signal", "scipy.optimize", "scipy.linalg",
-                   "scipy.sparse")
+_SOLVER_MODULES = ("scipy.signal", "scipy.stats", "scipy.optimize",
+                   "scipy.linalg", "scipy.sparse")
 
 _IMPORT_PROBE = """
 import json, sys
@@ -795,7 +795,9 @@ print(json.dumps(seen))
 
 def test_only_fit_loads_scipy(pipeline, tmp_path):
     """transpose, disaggregate and metrics run without scipy's solver
-    modules; a D fit loads scipy.signal; the package needs only numpy."""
+    modules; a D fit loads scipy.optimize for its regression but neither
+    scipy.signal nor scipy.stats, since the band-pass filter is numpy
+    only; the package needs only numpy."""
     data, site = pipeline["data"], str(pipeline["site"])
     series = [f"--ghi={data / 'ghi.csv'}", f"--t-air={data / 't_air.csv'}"]
     argvs = [
@@ -817,7 +819,8 @@ def test_only_fit_loads_scipy(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("import pvdisagg") == ["numpy", "pvdisagg"]
-    assert "scipy.signal" in seen.pop("fit")
+    assert seen.pop("fit") == ["scipy.optimize", "scipy.linalg",
+                               "scipy.sparse"]
     assert seen == {"import pvdisagg.cli": [], "transpose": [],
                     "disaggregate": [], "metrics": []}
 

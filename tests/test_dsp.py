@@ -158,6 +158,12 @@ def test_apply_too_short_series():
         apply_array(filt, np.ones(10))
 
 
+def _random_band(rate_exp, low_exp, width_exp):
+    rate = 10.0 ** rate_exp
+    f_low = rate / 2 * 10.0 ** low_exp
+    return f_low, min(f_low * 10.0 ** width_exp, 0.9 * rate / 2), rate
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), rate_exp=st.floats(-2.0, 1.0),
        low_exp=st.floats(-2.5, -0.7), width_exp=st.floats(0.2, 1.2),
@@ -165,12 +171,11 @@ def test_apply_too_short_series():
        extra=st.one_of(st.just(1), st.integers(1, 2000)))
 def test_apply_equals_sosfiltfilt(seed, rate_exp, low_exp, width_exp, rows,
                                   extra):
-    """The hand-rolled forward-backward pass is sosfiltfilt bit for bit,
-    on 1-D and stacked 2-D input down to one sample above the padding,
-    and the design's settling time is the one sos2zpk's poles give."""
-    rate = 10.0 ** rate_exp
-    f_low = rate / 2 * 10.0 ** low_exp
-    f_high = min(f_low * 10.0 ** width_exp, 0.9 * rate / 2)
+    """The numpy forward-backward pass is scipy's sosfiltfilt on butter's
+    sections to 1e-11 of the input's size, on 1-D and stacked 2-D input
+    down to one sample above the padding, and the design's settling time
+    is the one sos2zpk's poles give."""
+    f_low, f_high, rate = _random_band(rate_exp, low_exp, width_exp)
     filt = design_bandpass(f_low, f_high, rate)
     _, poles, _ = signal.sos2zpk(filt.sos)
     assert filt.settling_samples == int(
@@ -181,6 +186,28 @@ def test_apply_equals_sosfiltfilt(seed, rate_exp, low_exp, width_exp, rows,
     # an offset per series, so each pass's initial state matters
     x = (rng.uniform(-50.0, 50.0, shape[:-1] + (1,))
          + rng.uniform(0.1, 10.0) * rng.standard_normal(shape))
-    want = signal.sosfiltfilt(filt.sos, x, axis=-1, padtype="odd",
-                              padlen=padlen)
-    assert np.array_equal(apply_array(filt, x), want)
+    sos = signal.butter(3, [f_low, f_high], btype="bandpass", fs=rate,
+                        output="sos")
+    want = signal.sosfiltfilt(sos, x, axis=-1, padtype="odd", padlen=padlen)
+    got = apply_array(filt, x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(x))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rate_exp=st.floats(-2.0, 1.0), low_exp=st.floats(-2.5, -0.7),
+       width_exp=st.floats(0.2, 1.2))
+def test_design_matches_butter(rate_exp, low_exp, width_exp):
+    """The numpy design's response is butter's to 1e-11 from DC to
+    Nyquist, and its steady state is the one sosfilt_zi solves for on
+    its sections."""
+    f_low, f_high, rate = _random_band(rate_exp, low_exp, width_exp)
+    filt = design_bandpass(f_low, f_high, rate)
+    sos = signal.butter(3, [f_low, f_high], btype="bandpass", fs=rate,
+                        output="sos")
+    freqs = np.concatenate(([0.0, f_low, f_high, rate / 2],
+                            np.geomspace(f_low / 100, rate / 2, 200)))
+    _, want = signal.sosfreqz(sos, worN=freqs, fs=rate)
+    assert np.max(np.abs(frequency_response(filt, freqs) - want)) <= 1e-11
+    assert np.allclose(filt.zi, signal.sosfilt_zi(filt.sos),
+                       rtol=1e-9, atol=1e-12)

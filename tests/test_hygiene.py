@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Nine rules: a module uses every name it imports (``__init__.py`` is
+Ten rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -20,7 +20,10 @@ in the package, the acceptance tests or the benchmark harness, since a
 setting no caller varies is a constant, and belongs next to the code that
 reads it; and no ``assert`` statement checks anything in the package,
 since ``python -O`` strips them, and an invariant must hold under it
-(the package raises ``AssertionError`` explicitly instead).
+(the package raises ``AssertionError`` explicitly instead); and no
+module imports ``scipy.signal``, by statement or ``import_module``, since
+loading it pulls in ``scipy.stats`` and costs more time and memory than
+every fit of a sweep, while the band-pass filter needs numpy only.
 """
 
 import ast
@@ -279,6 +282,28 @@ def assert_statements(tree) -> list:
             if isinstance(node, ast.Assert)]
 
 
+def scipy_signal_imports(tree) -> list:
+    """Every import of scipy.signal or a name in it in tree, by an import
+    statement or an import_module call, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call) and getattr(
+                node.func, "attr", getattr(node.func, "id", None)
+        ) == "import_module":
+            names = [a.value for a in node.args
+                     if isinstance(a, ast.Constant)]
+        else:
+            continue
+        if any(name == "scipy.signal" or name.startswith("scipy.signal.")
+               for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES
                                   if p.name != "__init__.py"],
                          ids=lambda p: p.name)
@@ -325,6 +350,11 @@ def test_every_default_is_passed_by_some_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statement(path):
     assert assert_statements(_tree(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_scipy_signal_import(path):
+    assert scipy_signal_imports(_tree(path)) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -390,3 +420,12 @@ def test_checks_catch_what_they_forbid():
                         "    if x:\n        raise AssertionError(x)\n"
                         "    assert x\n")
     assert assert_statements(asserts) == ["line 2", "line 5"]
+    loads = ast.parse("import scipy.signal as ss\nimport scipy.sparse\n"
+                      "from scipy import signal, optimize\n"
+                      "from scipy.signal import butter\n"
+                      "def f():\n"
+                      "    importlib.import_module('scipy.signal')\n"
+                      "    import_module('scipy.optimize')\n"
+                      "    from scipy.signalling import x\n")
+    assert scipy_signal_imports(loads) == ["line 1", "line 3", "line 4",
+                                           "line 6"]
