@@ -74,10 +74,7 @@ def _write_json(path, payload):
 # subcommands
 
 def cmd_synth(args) -> int:
-    cfg = _load_yaml(args.scenario)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    spec = ScenarioSpec.from_dict(cfg)
+    spec = ScenarioSpec.from_dict(_load_yaml(args.scenario))
     data = generate_scenario(spec)
     comments = [_prov_comment(spec.to_dict(), spec.seed)]
     out = args.out_dir.rstrip("/")
@@ -120,23 +117,21 @@ def cmd_transpose(args) -> int:
     return 0
 
 
-def _cutoff_hz(value_hz, period_s, flag: str):
-    """Cutoffs may be given in Hz or as a period in seconds (converted)."""
-    if value_hz is not None and period_s is not None:
-        raise InputError(f"give {flag} either in Hz or in seconds, not both")
-    if period_s is not None:
-        if period_s <= 0:
-            raise InputError(f"{flag} period must be positive")
-        return 1.0 / period_s
-    return value_hz
+def _cutoff_hz(period_s, flag: str):
+    """A cutoff given as a period in seconds, in Hz (None stays None)."""
+    if period_s is None:
+        return None
+    if period_s <= 0:
+        raise InputError(f"{flag} period must be positive")
+    return 1.0 / period_s
 
 
 def _method_params_from_args(args, period: int) -> MethodParams:
     return MethodParams(
         method=args.method, sampling_period=period,
         lam=args.lam, c=args.c,
-        f_low=_cutoff_hz(args.f_low_hz, args.f_low_s, "--f-low"),
-        f_high=_cutoff_hz(args.f_high_hz, args.f_high_s, "--f-high"))
+        f_low=_cutoff_hz(args.f_low_s, "--f-low-s"),
+        f_high=_cutoff_hz(args.f_high_s, "--f-high-s"))
 
 
 def cmd_fit(args) -> int:
@@ -357,15 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"pvdisagg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    out_dir_env = os.environ.get("PVDISAGG_OUT_DIR")
-
     p = sub.add_parser("synth", help="generate a synthetic feeder scenario")
     p.add_argument("--scenario", required=True, metavar="YAML")
-    p.add_argument("--out-dir", required=out_dir_env is None,
-                   default=out_dir_env, metavar="DIR",
-                   help="defaults to $PVDISAGG_OUT_DIR when that is set")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the scenario seed")
+    p.add_argument("--out-dir", required=True, metavar="DIR")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("transpose",
@@ -389,12 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="demand total-variation weight (required by B)")
     p.add_argument("--c", type=int, default=None,
                    help="demand block length in samples (required by C)")
-    p.add_argument("--f-low-hz", type=float, default=None)
-    p.add_argument("--f-high-hz", type=float, default=None)
     p.add_argument("--f-low-s", type=float, default=None, metavar="SECONDS",
-                   help="low cutoff as a period instead of a frequency")
+                   help="D's low cutoff, as a period (required by D)")
     p.add_argument("--f-high-s", type=float, default=None, metavar="SECONDS",
-                   help="high cutoff as a period instead of a frequency")
+                   help="D's high cutoff, as a period (required by D)")
     p.add_argument("--out-model", required=True, metavar="JSON")
     p.add_argument("--out-report", default=None, metavar="JSON")
     p.set_defaults(func=cmd_fit)
@@ -420,9 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cross-validated parameter sweep or "
                             "penetration experiment on a synthetic feeder")
     p.add_argument("--config", required=True, metavar="YAML")
-    p.add_argument("--out-dir", required=out_dir_env is None,
-                   default=out_dir_env, metavar="DIR",
-                   help="defaults to $PVDISAGG_OUT_DIR when that is set")
+    p.add_argument("--out-dir", required=True, metavar="DIR")
     p.set_defaults(func=cmd_sweep)
 
     return parser

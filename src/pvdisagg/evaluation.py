@@ -92,7 +92,6 @@ class ScenarioSpec:
 
     latitude: float = 47.5
     longitude: float = 7.5
-    altitude: float = 260.0
     albedo: float = 0.2
     plant: tuple = DEFAULT_PLANT
     start_epoch: int = 1685577600  # 2023-06-01T00:00:00Z
@@ -189,8 +188,7 @@ class ScenarioSpec:
 
     @property
     def site(self) -> SiteConfig:
-        return SiteConfig(self.latitude, self.longitude,
-                          self.altitude, self.albedo)
+        return SiteConfig(self.latitude, self.longitude, albedo=self.albedo)
 
 
 @dataclass
@@ -432,10 +430,8 @@ def _fit_and_score(p, ghi, g_true, bank, params: MethodParams,
     idx_te = _day_index(test_days, p.samples_per_day)
     night = mask_night(ghi.with_values(ghi.values[idx_tr]))
     cap, _, seconds = fit(p.with_values(p.values[idx_tr]),
-                          bank.sliced(idx_tr, start_epoch=p.start_epoch),
-                          params, night_mask=night)
-    g_hat = predict_generation(
-        cap, bank.sliced(idx_te, start_epoch=p.start_epoch))
+                          bank.sliced(idx_tr), params, night_mask=night)
+    g_hat = predict_generation(cap, bank.sliced(idx_te))
     m = compute_metrics(g_true.with_values(g_true.values[idx_te]), g_hat,
                         capacity)
     return m, seconds, bool(cap.report.converged), params

@@ -107,7 +107,7 @@ class QuadraticProgram:
 
 def _column_scales(m: np.ndarray) -> np.ndarray:
     """Largest |entry| of every column; 1 for an all-zero column."""
-    s = np.max(np.abs(m), axis=0)
+    s = np.maximum(m.max(axis=0), -m.min(axis=0))  # no K x J copy of |m|
     s[s == 0] = 1.0
     return s
 
@@ -200,13 +200,16 @@ def _eigen_root(gram: np.ndarray, b: np.ndarray):
     of Bro & De Jong, J. Chemometrics 11, 1997).  R comes from an
     eigendecomposition, not a Cholesky factor, because gram is singular
     whenever columns coincide; the eigenvalues at most J*eps*max(eigenvalue)
-    become zero rows of R.  The eigenvalues are returned ascending.
+    become zero rows of R.  A zero diagonal entry (a zero row and column of
+    gram) becomes a zero column of R: eigh leaves rounding-level entries
+    there, which nnls would meet with an unbounded coefficient.  The
+    eigenvalues are returned ascending.
     """
     lam, vec = np.linalg.eigh(gram)
     keep = lam > lam.size * np.finfo(float).eps * max(lam[-1], 0.0)
     root = np.sqrt(np.where(keep, lam, 0.0))
     z = np.divide(vec.T @ b, root, out=np.zeros_like(root), where=keep)
-    return root[:, None] * vec.T, z, lam
+    return root[:, None] * vec.T * (np.diag(gram) > 0), z, lam
 
 
 def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
@@ -377,6 +380,8 @@ def irls_bisquare(x_mat, y):
     _IRLS_MAX_ITER flags no_convergence in the report and returns the last
     iterate; an all-zero weight vector raises SolverError.
     Every step is a weighted NNLS on the column-scaled J x J Gram (_wls).
+    An all-zero column keeps scale 1 and a zero Gram row and column, which
+    _eigen_root makes a zero column of R, so its coefficient stays 0.
     The report certifies the last one: dual_residual is its projected-
     gradient (KKT) residual relative to the size of the terms the gradient
     sums, and duality_gap its complementarity a'(Ga - b), both in the
@@ -389,13 +394,9 @@ def irls_bisquare(x_mat, y):
     k_samp, n_col = x_mat.shape
     if k_samp < n_col:
         raise ValueError(f"need K >= J, got K={k_samp} J={n_col}")
-    col_scale = np.maximum(x_mat.max(axis=0), -x_mat.min(axis=0))
-    if np.all(col_scale == 0):
+    if not np.any(x_mat):
         raise ValueError("design matrix is identically zero")
-    keep = col_scale > 0
-    if not keep.all():
-        x_mat = x_mat[:, keep]  # zero columns get zero coefficients
-    inv = 1.0 / col_scale[keep]
+    inv = 1.0 / _column_scales(x_mat)
 
     report = SolverReport(status="solved")
     alpha_s, gram, b = _wls(x_mat, y, np.ones(k_samp), inv)
@@ -437,8 +438,7 @@ def irls_bisquare(x_mat, y):
         history.append(0.0)
         report.notes["scale"] = 0.0
 
-    alpha = np.zeros(n_col)
-    alpha[keep] = alpha_s * inv
+    alpha = alpha_s * inv
     report.iterations = iterations
     report.objective = history[-1]
     report.converged = converged
@@ -451,7 +451,5 @@ def irls_bisquare(x_mat, y):
     if not converged:
         report.status = "max_iter"
         report.notes["no_convergence"] = True
-    if np.any(~keep):
-        report.notes["dropped_zero_columns"] = int(np.sum(~keep))
     report.notes["objective_history"] = [float(v) for v in history]
     return alpha, report

@@ -31,7 +31,11 @@ _EPOCH_2101 = 4133980800
 
 @dataclass(frozen=True)
 class SiteConfig:
-    """Location and surroundings of the measurement site."""
+    """Location and surroundings of the measurement site.
+
+    altitude is accepted (site YAMLs carry it) but read by no computation:
+    the sun position takes latitude and longitude, the transposition albedo.
+    """
 
     latitude: float
     longitude: float
@@ -335,12 +339,11 @@ class PlaneBank:
                                        new_period),
                          self.start_epoch, int(new_period))
 
-    def sliced(self, index: np.ndarray,
-               start_epoch: int | None = None) -> "PlaneBank":
-        """Column subset (e.g. the samples of selected days)."""
+    def sliced(self, index: np.ndarray) -> "PlaneBank":
+        """Column subset (e.g. the samples of selected days); keeps the
+        bank's start_epoch and period, as TimeSeries.with_values does."""
         return PlaneBank(self.planes, self.irradiance[:, index],
-                         self.start_epoch if start_epoch is None
-                         else start_epoch, self.period)
+                         self.start_epoch, self.period)
 
 
 def build_bank(ghi: TimeSeries, t_air: TimeSeries, site: SiteConfig,

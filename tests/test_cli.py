@@ -3,6 +3,7 @@ metrics, plus the sweep modes, flag validation, and exit codes."""
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import yaml
 
 import pvdisagg
 from pvdisagg import evaluation
-from pvdisagg.cli import main
+from pvdisagg.cli import build_parser, main
 from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
                                  write_csv)
@@ -105,25 +106,36 @@ def test_synth_is_reproducible(pipeline, tmp_path):
             == (pipeline["data"] / "p.csv").read_bytes())
 
 
-def test_synth_seed_flag_overrides(pipeline, tmp_path):
-    assert main(["synth", "--scenario", str(pipeline["scen"]),
-                 "--seed", "99", "--out-dir", str(tmp_path / "s99")]) == 0
-    doc = json.loads((tmp_path / "s99" / "scenario.json").read_text())
-    assert doc["scenario"]["seed"] == 99
-    assert doc["provenance"]["seed"] == 99
-
-
-def test_synth_refuses_a_negative_seed_flag(pipeline, tmp_path, capsys):
-    assert main(["synth", "--scenario", str(pipeline["scen"]),
-                 "--seed", "-1", "--out-dir", str(tmp_path / "neg")]) == 2
+def test_synth_refuses_a_negative_seed(tmp_path, capsys):
+    scen = tmp_path / "neg.yaml"
+    scen.write_text(yaml.safe_dump({**SCENARIO, "seed": -1}))
+    assert main(["synth", "--scenario", str(scen),
+                 "--out-dir", str(tmp_path / "neg")]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
 
 
-def test_synth_out_dir_from_environment(pipeline, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["synth", "sweep"])
+def test_out_dir_is_required_whatever_the_environment(
+        tmp_path, monkeypatch, capsys, command):
     monkeypatch.setenv("PVDISAGG_OUT_DIR", str(tmp_path / "env_out"))
-    assert main(["synth", "--scenario", str(pipeline["scen"])]) == 0
-    assert (tmp_path / "env_out" / "p.csv").exists()
+    flag = "--scenario" if command == "synth" else "--config"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(tmp_path / "x.yaml")])
+    assert exc.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "env_out").exists()
+
+
+def test_synth_rejects_a_scenario_altitude(tmp_path, capsys):
+    # the generator reads latitude, longitude and albedo; an altitude
+    # would be a setting that changes nothing
+    scen = tmp_path / "alt.yaml"
+    scen.write_text(yaml.safe_dump({**SCENARIO, "altitude": 260.0}))
+    assert main(["synth", "--scenario", str(scen),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unknown scenario keys: ['altitude']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_rejects_unknown_scenario_key(tmp_path, capsys):
@@ -241,17 +253,27 @@ def test_fit_accepts_cutoffs_as_periods(pipeline, tmp_path):
     assert doc["total_kwp"] == pytest.approx(35.3, abs=4.0)
 
 
-def test_fit_rejects_cutoff_given_both_ways(pipeline, tmp_path, capsys):
-    code = main(["fit", "--site", str(pipeline["site"]),
-                 "--ghi", str(pipeline["data"] / "ghi.csv"),
-                 "--t-air", str(pipeline["data"] / "t_air.csv"),
-                 "--p", str(pipeline["data"] / "p.csv"),
-                 "--method", "D",
-                 "--f-low-hz", "0.001", "--f-low-s", "1000",
-                 "--f-high-s", "600",
-                 "--out-model", str(tmp_path / "m.json")])
-    assert code == 2
-    assert "not both" in capsys.readouterr().err
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--seed"), ("fit", "--f-low-hz"), ("fit", "--f-high-hz")])
+def test_second_spellings_are_refused(pipeline, tmp_path, capsys, command,
+                                      flag):
+    """The scenario YAML is the one place to set the seed, and D's band is
+    given as periods (--f-low-s, --f-high-s) only."""
+    out = tmp_path / "out"
+    if command == "synth":
+        argv = ["synth", "--scenario", str(pipeline["scen"]),
+                "--out-dir", str(out)]
+    else:
+        argv = ["fit", "--site", str(pipeline["site"]),
+                "--ghi", str(pipeline["data"] / "ghi.csv"),
+                "--t-air", str(pipeline["data"] / "t_air.csv"),
+                "--p", str(pipeline["data"] / "p.csv"), "--method", "D",
+                "--out-model", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "99"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("period", ["0", "-60"])
@@ -339,7 +361,7 @@ def test_fit_refuses_a_setting_that_leaves_demand_free(
 
 @pytest.mark.parametrize("method, flags", [
     ("A", []), ("B", ["--lam", "1"]), ("C", ["--c", "10"]),
-    ("D", ["--f-low-hz", str(1 / 7200), "--f-high-hz", str(1 / 1200)])],
+    ("D", ["--f-low-s", "7200", "--f-high-s", "1200"])],
     ids=["A", "B", "C", "D"])
 def test_fit_refuses_an_all_dark_sky(pipeline, tmp_path, capsys, method,
                                      flags):
@@ -374,7 +396,7 @@ def test_fit_names_a_band_the_filter_cannot_settle(pipeline, tmp_path,
                  "--t-air", str(pipeline["data"] / "t_air.csv"),
                  "--p", str(pipeline["data"] / "p.csv"),
                  "--method", "D", "--period-s", "300",
-                 "--f-low-hz", "1e-12", "--f-high-hz", "2e-12",
+                 "--f-low-s", "1e12", "--f-high-s", "5e11",
                  "--out-model", str(model)])
     assert code == 2
     assert ("f_low=1e-12 Hz and f_high=2e-12 Hz are too low for rate "
@@ -868,3 +890,21 @@ def test_missing_input_file_exit_2(tmp_path, capsys):
     assert main(["synth", "--scenario", str(tmp_path / "nope.yaml"),
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_usage_commands_parse():
+    """Every ``pvdisagg ...`` command in the README's "Command-line usage"
+    block, continuation lines joined and split as a shell would, parses:
+    a flag the CLI dropped fails here, not in a reader's shell."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pvdisagg ")]
+    assert [c[1] for c in commands] == ["synth", "transpose", "fit",
+                                        "disaggregate", "metrics", "sweep"]
+    parser = build_parser()
+    for cmd in commands:
+        args = parser.parse_args(cmd[1:])
+        assert args.command == cmd[1]

@@ -224,7 +224,7 @@ def test_method_a_day_fold_without_presolve_reaches_the_oracle(
     data = noisy_scenario
     idx = np.arange(1440, 2 * 1440)
     p = TimeSeries(START, 60, data.p.values[idx], UNIT_KW)
-    bank = data.bank.sliced(idx, start_epoch=START)
+    bank = data.bank.sliced(idx)
     mask = data.ghi.values[idx] > 5.0
     cap = fit_method_a(p, bank, mask=mask)
     assert presolve == [False]
@@ -346,7 +346,7 @@ def test_fit_refuses_free_per_sample_demand(params):
     idx = np.concatenate([np.arange(d * 1440, (d + 1) * 1440)
                           for d in make_folds(3, 0).folds[0]])
     p = TimeSeries(p_r.start_epoch, 60, p_r.values[idx], UNIT_KW)
-    bank = data.bank.resampled(60).sliced(idx, start_epoch=p_r.start_epoch)
+    bank = data.bank.resampled(60).sliced(idx)
     with pytest.raises(ValueError,
                        match="leaves the capacities unidentified"):
         fit(p, bank, params, segment_length=1440)
@@ -555,7 +555,7 @@ def test_method_c_matches_full_nnls_on_a_sweep_fold():
     idx = np.concatenate([np.arange(d * 2880, (d + 1) * 2880)
                           for d in train_days])
     p_tr = TimeSeries(p_r.start_epoch, 30, p_r.values[idx], UNIT_KW)
-    bank_tr = data.bank.resampled(30).sliced(idx, start_epoch=p_r.start_epoch)
+    bank_tr = data.bank.resampled(30).sliced(idx)
     cap, _ = fit_method_c(p_tr, bank_tr, 10)
     ref = _c_oracle(p_tr.values, bank_tr, 10, 2880)
     assert cap.report.converged
@@ -661,7 +661,7 @@ def test_method_b_certifies_where_the_full_model_step_ascends(res):
     data = generate_scenario(ScenarioSpec(days=3, period_s=10, seed=23))
     p = resample_average(data.p, res)
     day = np.arange(p.samples_per_day)  # the training day of fold 1
-    bank = data.bank.resampled(res).sliced(day, start_epoch=p.start_epoch)
+    bank = data.bank.resampled(res).sliced(day)
     cap, _, _ = methods.fit(p.with_values(p.values[day]), bank,
                             MethodParams("B", res, lam=1.0))
     assert cap.report.status == "solved" and cap.report.converged

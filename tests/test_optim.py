@@ -528,3 +528,19 @@ def test_irls_degenerate_weights_raise(monkeypatch):
 def test_irls_rejects_underdetermined():
     with pytest.raises(ValueError):
         irls_bisquare(np.ones((2, 3)), np.ones(2))
+
+
+def test_irls_zero_column_gets_zero_and_leaves_the_rest():
+    """An all-zero column of X is a zero Gram row and column: its
+    coefficient is exactly 0 and the others are those of the fit without
+    it (eigh leaves rounding-level entries in that column of the root)."""
+    rng = np.random.default_rng(19)
+    x = rng.uniform(0.0, 1.0, size=(150, 5))
+    y = (x @ np.array([1.0, 0.0, 2.0, 0.5, 1.5])
+         + 0.05 * rng.standard_t(df=2, size=150))
+    alpha, rep = irls_bisquare(np.insert(x, 2, 0.0, axis=1), y)
+    ref, ref_rep = irls_bisquare(x, y)
+    assert rep.converged and rep.iterations == ref_rep.iterations > 1
+    assert alpha[2] == 0.0
+    np.testing.assert_allclose(np.delete(alpha, 2), ref, rtol=0.0,
+                               atol=1e-12)
