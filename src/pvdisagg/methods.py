@@ -218,17 +218,14 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand,
     gradient C'(y - L) and, on the piece that holds L's runs and signs,
     Hessian W'W: W is C with every positive run demeaned and every clipped
     (zero) run kept as it is.  Each step minimizes that quadratic model
-    over a >= 0 exactly, by solve_qp's one nnls on an eigen-root of W'W
-    (singular when plane mixes coincide on the runs), and backtracks
-    (Armijo) on the exact F.  Where that minimizer is no descent
-    direction (W'W near singular, mostly over planes that a positive
-    gradient holds at zero), the step minimizes the model over the other
-    planes alone, and the report counts it in free_plane_steps.  The
-    loop stops when the projected gradient, relative to the size of the
-    terms it sums, is at most _ENVELOPE_TOL.  The loop starts from the
-    capacities start (kWp, nonnegative); the stop test does not depend
-    on it, so any start ends at the same certified optimum, and a start
-    close to it saves steps.
+    over a >= 0 exactly, by solve_qp's active set on W'W (singular when
+    plane mixes coincide on the runs) started from a, and backtracks
+    (Armijo) on the exact F; a minimizer that is no descent direction
+    ends the loop as "line_search".  The loop stops when the projected
+    gradient, relative to the size of the terms it sums, is at most
+    _ENVELOPE_TOL.  The loop starts from the capacities start (kWp,
+    nonnegative); the stop test does not depend on it, so any start ends
+    at the same certified optimum, and a start close to it saves steps.
     Returns (capacities, demand trajectory).
     """
     k, j = len(p), bank.n_planes
@@ -247,8 +244,7 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand,
     a = start * scale
     obj, l, starts, r = evaluate(a)
     evaluations = 1
-    report = SolverReport(status="max_iter", primal_residual=0.0,
-                          notes={"free_plane_steps": 0})
+    report = SolverReport(status="max_iter", primal_residual=0.0)
     for report.iterations in range(_MAX_NEWTON_STEPS + 1):
         grad = c_s.T @ r
         counts = np.diff(np.append(starts, k))
@@ -264,20 +260,8 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand,
         if report.iterations == _MAX_NEWTON_STEPS:
             break
         target, _ = solve_qp(QuadraticProgram(
-            hess, hess @ a - grad, nonneg=np.ones(j, dtype=bool)))
+            hess, hess @ a - grad, nonneg=np.ones(j, dtype=bool)), start=a)
         slope = float(grad @ (target - a))
-        if not slope < 0:
-            # planes held at zero by a positive gradient can make W'W so
-            # ill-conditioned that the minimizer loses the gradient of the
-            # others: minimize the model over the free planes alone
-            free = (a > 0) | (grad < 0)
-            h_free = hess[np.ix_(free, free)]
-            target = np.zeros(j)
-            target[free], _ = solve_qp(QuadraticProgram(
-                h_free, h_free @ a[free] - grad[free],
-                nonneg=np.ones(h_free.shape[0], dtype=bool)))
-            slope = float(grad @ (target - a))
-            report.notes["free_plane_steps"] += 1
         t = 1.0
         while slope < 0 and t >= _MIN_STEP:
             trial = evaluate((1.0 - t) * a + t * target)
@@ -438,9 +422,10 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     if not np.any(bank.irradiance):
         raise InputError("the plane bank is zero on every sample (is GHI "
                          "all zero?): no irradiance identifies a capacity")
-    # the solvers import scipy.optimize when first called; loading it here
-    # keeps the reported seconds the fit alone (D's filter is numpy only)
-    importlib.import_module("scipy.optimize")
+    # A's LP imports scipy.optimize when first called; loading it here
+    # keeps the reported seconds the fit alone (B, C and D load no scipy)
+    if params.method == "A":
+        importlib.import_module("scipy.optimize")
     t0 = time.perf_counter()
     starts = _segment_starts(p, segment_length)
     l_hat = None

@@ -4,23 +4,30 @@ L1 fit, IRLS.
 All quadratic problems use the convention  minimize 0.5*x'Hx - f'x .
 Every solver here is exact up to rounding on the sizes it is given:
 
-  solve_qp           one nnls on an eigen-root of H, with every free
-                     variable split into two nonnegative parts, certified
-                     by its KKT residual;
+  solve_qp           the Lawson-Hanson active set on H itself, free
+                     variables always passive, from a given start,
+                     certified by its KKT residual;
   solve_l1_trend_qp  the prox of a total-variation penalty on each segment
                      by Condat's direct algorithm, clipped at zero;
   solve_lp           method A's L1 fit on differences, min_{a >= 0}
                      sum |dp + dm a|, through its dual LP in HiGHS
                      (scipy.optimize.linprog) without presolve, certified
                      by the duality gap of that one problem;
-  irls_bisquare      majorize-minimize robust regression, one nnls on
-                     the J x J weighted Gram per step.
+  irls_bisquare      majorize-minimize robust regression, one active set
+                     on the J x J weighted Gram per step, started from
+                     the previous step's coefficients.
 
-scipy.optimize, scipy.linalg and scipy.sparse are imported inside the
-functions that call them, so that importing the package (and every CLI
-command but ``fit`` and ``sweep``) does not load them.  ``methods.fit``
-loads scipy.optimize, which pulls in the other two, before it starts its
-clock, so a fit's reported time stays the fit alone.
+solve_qp and irls_bisquare share one active set (_active_set), in
+numpy: B's and C's Newton steps start it from their current
+capacities and D's reweighting steps from the last coefficients, so
+most solves need one or a few passive-set solves of at most 21 x 21.
+
+solve_lp is the only scipy user: it imports scipy.optimize inside the
+function, so importing the package, and every CLI command but a fit or
+sweep that runs method A, loads no scipy module.  ``methods.fit`` loads
+scipy.optimize, which pulls in scipy.linalg and scipy.sparse, before it
+starts its clock when it fits A, so a fit's reported time stays the fit
+alone.
 
 A's dual LP  max dp'u  s.t. |u| <= 1, C'u >= 0  has no infeasible or
 unbounded outcome: u = 0 satisfies every constraint and the box bounds
@@ -50,6 +57,8 @@ _LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
 _BISQUARE_TUNING = 4.685  # residual scales; 95% efficient (Holland-Welsch)
 _IRLS_TOL = 1e-8       # relative coefficient step that stops irls_bisquare
 _IRLS_MAX_ITER = 50    # reweighting steps of irls_bisquare
+_EPS = np.finfo(float).eps
+_SOLVES_PER_VARIABLE = 3  # cap of _active_set, as scipy's nnls caps its own
 
 
 @dataclass
@@ -163,8 +172,7 @@ def solve_lp(dp: np.ndarray, dm: np.ndarray):
 
 def _dense_symmetric(h) -> np.ndarray:
     """H as a dense float array; ValueError unless it is symmetric."""
-    from scipy.sparse import issparse
-    h = np.asarray(h.toarray() if issparse(h) else h, dtype=float)
+    h = np.asarray(h.toarray() if hasattr(h, "toarray") else h, dtype=float)
     if np.max(np.abs(h - h.T)) > 1e-8 * (np.max(np.abs(h)) + 1.0):
         raise ValueError("H must be symmetric")
     return h
@@ -177,11 +185,9 @@ def psd_check_and_regularize(h, beta_reg: float):
     matrix certifies positive definiteness; min_eig is its exact smallest
     eigenvalue.  A sparse H is densified first.
     """
-    from scipy.linalg import eigh
     h = _dense_symmetric(h)
     h_reg = h + beta_reg * np.eye(h.shape[0])
-    min_eig = float(eigh(h_reg, eigvals_only=True,
-                         subset_by_index=[0, 0])[0])
+    min_eig = float(np.linalg.eigvalsh(h_reg)[0])
     try:
         np.linalg.cholesky(h_reg)
         is_pd = True
@@ -190,65 +196,127 @@ def psd_check_and_regularize(h, beta_reg: float):
     return h_reg, is_pd, min_eig
 
 
-def _eigen_root(gram: np.ndarray, b: np.ndarray):
-    """(R, z, eigenvalues) with R'R = gram and R'z = b, for a symmetric
-    positive semidefinite gram and a b in its range.
+def _passive_solve(gram: np.ndarray, f: np.ndarray, check: bool):
+    """(gram^-1 f, False), or (the least-norm least-squares solution, True)
+    when np.linalg.solve meets an exactly singular gram or, with check,
+    when Cholesky rejects gram or leaves a pivot at most size*eps of its
+    largest diagonal entry."""
+    try:
+        if check:
+            low = np.linalg.cholesky(gram)
+            if (low.diagonal().min() ** 2
+                    <= f.size * _EPS * gram.diagonal().max()):
+                raise np.linalg.LinAlgError
+        return np.linalg.solve(gram, f), False
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(gram, f, rcond=None)[0], True
 
-    min |R x - z|^2 is then x'(gram)x - 2b'x plus a constant, so one nnls
-    on (R, z) solves a nonnegative quadratic problem exactly (Lawson &
-    Hanson, Solving Least Squares Problems, 1974; the cross-product form
-    of Bro & De Jong, J. Chemometrics 11, 1997).  R comes from an
-    eigendecomposition, not a Cholesky factor, because gram is singular
-    whenever columns coincide; the eigenvalues at most J*eps*max(eigenvalue)
-    become zero rows of R.  A zero diagonal entry (a zero row and column of
-    gram) becomes a zero column of R: eigh leaves rounding-level entries
-    there, which nnls would meet with an unbounded coefficient.  The
-    eigenvalues are returned ascending.
+
+def _active_set(gram: np.ndarray, f: np.ndarray, start: np.ndarray,
+                free: np.ndarray):
+    """argmin 0.5 x'(gram)x - f'x subject to x[~free] >= 0, from start.
+
+    The Lawson-Hanson active set (Solving Least Squares Problems, 1974) in
+    the cross-product form of Bro & De Jong (J. Chemometrics 11, 1997):
+    each solve is on the passive block of the symmetric positive
+    semidefinite J x J gram.  Free variables are always passive, and the
+    passive set starts as start's support, so a start near the answer
+    needs few solves.  An entering variable is ruled out until x moves
+    when its solve is not positive, or when its Schur complement in a
+    regular passive Gram, its negative gradient over its solve, is at
+    most J*eps of its diagonal entry (Lawson and Hanson's guard against
+    rounding).  So every other constrained passive variable is positive,
+    a step ratio never divides by zero, and a blocked step sets its
+    blocking variable to exactly 0 and drops every constrained variable
+    it leaves at 0.  Only a passive set that is not known regular (the
+    first, or one after an lstsq solve) is checked by Cholesky; removing
+    variables keeps a regular Gram regular.  Stops when no constrained
+    variable's negative gradient exceeds J*eps times the size of the
+    terms it sums.  Returns (x, solves, status): status is "solved",
+    "max_iter" after 3J solves (scipy's nnls cap), or "singular" when x
+    rests on a passive Gram that _passive_solve had to solve by lstsq.
     """
-    lam, vec = np.linalg.eigh(gram)
-    keep = lam > lam.size * np.finfo(float).eps * max(lam[-1], 0.0)
-    root = np.sqrt(np.where(keep, lam, 0.0))
-    z = np.divide(vec.T @ b, root, out=np.zeros_like(root), where=keep)
-    return root[:, None] * vec.T * (np.diag(gram) > 0), z, lam
+    n = f.size
+    x = np.where(free, start, np.maximum(start, 0.0))
+    passive = free | (x > 0.0)
+    bound = ~free
+    size, f_size = np.abs(gram), np.abs(f)
+    w = np.zeros(n)
+    # lstsq: the last solve fell back to lstsq (True before the first, so
+    # that Cholesky checks the start's support); singular: x's solve did
+    entering, lstsq, singular = -1, True, False
+    for solves in range(1, _SOLVES_PER_VARIABLE * n + 1):
+        z, check, lstsq = np.zeros(n), lstsq or singular, False
+        idx = passive.nonzero()[0]
+        if idx.size:
+            z[idx], lstsq = _passive_solve(gram[idx[:, None], idx], f[idx],
+                                           check)
+        if entering >= 0 and (z[entering] <= 0.0 or not singular and (
+                lstsq or w[entering]
+                <= z[entering] * n * _EPS * gram[entering, entering])):
+            passive[entering] = False
+            w[entering] = -np.inf
+        else:
+            blocking = passive & bound & (z <= 0.0)
+            if blocking.any():
+                ratio = x[blocking] / (x[blocking] - z[blocking])
+                k = np.argmin(ratio)
+                x += ratio[k] * (z - x)
+                x[blocking.nonzero()[0][k]] = 0.0
+                passive &= free | (x > 0.0)
+                x[~passive] = 0.0
+                entering = -1
+                continue
+            x, singular = z, lstsq
+            w = f - gram @ x
+            w[passive] = -np.inf
+        entering = int(np.argmax(w))
+        if w[entering] <= n * _EPS * np.max(size @ np.abs(x) + f_size):
+            return x, solves, "singular" if singular else "solved"
+        passive[entering] = True
+    return x, _SOLVES_PER_VARIABLE * n, "max_iter"
 
 
-def solve_qp(prog: QuadraticProgram, tol: float = 1e-6):
+def solve_qp(prog: QuadraticProgram, tol: float = 1e-6, start=None):
     """Solve min 0.5x'Hx - f'x subject to x[nonneg] >= 0; (x, SolverReport).
 
-    Dense and exact: one nnls on [R, -R[:, free]] against z (_eigen_root,
-    R'R = H, R'z = f), each free variable split into the difference of two
-    nonnegative parts, so nonnegative, mixed and free problems take the
-    same path.  That is the minimizer whenever f lies in the range of H,
-    as it does for any least-squares cost; a part of f outside that range
-    is dropped, and the certificate measures what that costs.  converged
-    needs the projected-gradient (KKT) residual, reported as
-    dual_residual, to be at most tol * (1 + max(|Hx|, |f|)); the report
-    also carries the bound violation and the complementarity gap
-    x[nonneg]'(Hx - f)[nonneg].
+    Dense and exact: the Lawson-Hanson active set on H itself
+    (_active_set), from start (zeros by default), so nonnegative, mixed
+    and free problems take the same path.  converged needs the active set
+    to stop before its cap (status "max_iter" otherwise) and the
+    projected-gradient (KKT) residual, reported as dual_residual, to be
+    at most tol * (1 + max(|Hx|, |f|)) (status "numerical" otherwise).
+    An answer that rests on a singular passive Gram, as when free
+    variables coincide and the minimizer is not unique, is lstsq's and
+    says so in the note singular_passive_gram; the certificate judges it
+    like any other.  The report also carries the bound violation, the
+    complementarity gap x[nonneg]'(Hx - f)[nonneg] and the number of
+    passive-set solves as iterations.
     Raises SolverError when H has an eigenvalue below
     -J*eps*max|eigenvalue|.
     """
-    from scipy.optimize import nnls
     h = _dense_symmetric(prog.h)
     n = prog.f.size
-    r, z, eig = _eigen_root(h, prog.f)
-    if eig[0] < -n * np.finfo(float).eps * np.max(np.abs(eig)):
+    eig = np.linalg.eigvalsh(h)
+    if eig[0] < -n * _EPS * np.max(np.abs(eig)):
         raise SolverError(
             f"quadratic cost not positive semidefinite (min eig {eig[0]:g})")
     free = (~prog.nonneg if prog.nonneg is not None
             else np.ones(n, dtype=bool))
-    parts, _ = nnls(np.hstack([r, -r[:, free]]), z)
-    x = parts[:n]
-    x[free] -= parts[n:]
+    x, solves, status = _active_set(
+        h, prog.f, np.zeros(n) if start is None else start, free)
     hx = h @ x
     grad = hx - prog.f
     proj = np.where(free, x - grad, np.clip(x - grad, 0.0, None))
     report = SolverReport(
-        objective=float(0.5 * x @ hx - prog.f @ x), iterations=1,
+        objective=float(0.5 * x @ hx - prog.f @ x), iterations=solves,
         primal_residual=float(np.max(-x[~free], initial=0.0)),
         dual_residual=float(np.max(np.abs(x - proj), initial=0.0)),
-        duality_gap=float(x[~free] @ grad[~free]), status="numerical")
-    if report.dual_residual <= tol * (1.0 + max(
+        duality_gap=float(x[~free] @ grad[~free]),
+        status="max_iter" if status == "max_iter" else "numerical")
+    if status == "singular":
+        report.notes["singular_passive_gram"] = True
+    if status != "max_iter" and report.dual_residual <= tol * (1.0 + max(
             np.max(np.abs(hx), initial=0.0),
             np.max(np.abs(prog.f), initial=0.0))):
         report.status, report.converged = "solved", True
@@ -349,23 +417,25 @@ def _bisquare_rho(r: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
-def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, inv: np.ndarray):
+def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, inv: np.ndarray,
+         start: np.ndarray):
     """argmin_{a >= 0} sum_k w_k (y_k - x_k (inv * a))^2 on the J x J Gram.
 
     inv scales the columns (irls_bisquare's scaling to at most 1) without
     a scaled copy of X.  With G = D(X*w)'XD and b = D(X*w)'y, D = diag(inv),
-    the objective is a'Ga - 2a'b plus a constant, so nnls(R, z) with
-    R'R = G and R'z = b has the minimizers of nnls on the tall
-    sqrt(w)-scaled rows at O(K J^2) BLAS work (_eigen_root; G is singular
-    whenever columns coincide on the positive-weight rows).  Returns
-    (a, G, b).
+    the objective is a'Ga - 2a'b plus a constant, so the active set on
+    (G, b) from start has the minimizers of nnls on the tall
+    sqrt(w)-scaled rows at O(K J^2) BLAS work.  Returns (a, G, b); raises
+    SolverError unless the active set ends "solved".
     """
-    from scipy.optimize import nnls
     xw = x_mat * w[:, None]
     gram = (xw.T @ x_mat) * np.outer(inv, inv)
     b = (xw.T @ y) * inv
-    r, z, _ = _eigen_root(gram, b)
-    sol, _ = nnls(r, z)
+    sol, solves, status = _active_set(gram, b, start,
+                                      np.zeros(b.size, dtype=bool))
+    if status != "solved":
+        raise SolverError(f"weighted NNLS ended {status} after {solves} "
+                          f"solves")
     return sol, gram, b
 
 
@@ -378,10 +448,12 @@ def irls_bisquare(x_mat, y):
     reweighting a true majorize-minimize scheme: the objective sum of
     losses is non-increasing at every iteration (asserted).  Hitting
     _IRLS_MAX_ITER flags no_convergence in the report and returns the last
-    iterate; an all-zero weight vector raises SolverError.
-    Every step is a weighted NNLS on the column-scaled J x J Gram (_wls).
-    An all-zero column keeps scale 1 and a zero Gram row and column, which
-    _eigen_root makes a zero column of R, so its coefficient stays 0.
+    iterate; an all-zero weight vector, or a weighted NNLS that does not
+    end "solved", raises SolverError.
+    Every step is a weighted NNLS on the column-scaled J x J Gram (_wls),
+    started from the previous step's coefficients.  An all-zero column
+    keeps scale 1 and a zero Gram row and column, so its negative gradient
+    is 0 and it never enters the passive set: its coefficient stays 0.
     The report certifies the last one: dual_residual is its projected-
     gradient (KKT) residual relative to the size of the terms the gradient
     sums, and duality_gap its complementarity a'(Ga - b), both in the
@@ -399,7 +471,7 @@ def irls_bisquare(x_mat, y):
     inv = 1.0 / _column_scales(x_mat)
 
     report = SolverReport(status="solved")
-    alpha_s, gram, b = _wls(x_mat, y, np.ones(k_samp), inv)
+    alpha_s, gram, b = _wls(x_mat, y, np.ones(k_samp), inv, np.zeros(n_col))
     resid = y - x_mat @ (alpha_s * inv)
     med = np.median(resid)
     scale = np.median(np.abs(resid - med)) / 0.6745
@@ -420,7 +492,7 @@ def irls_bisquare(x_mat, y):
                 raise SolverError(
                     "every sample weight is zero (scale too small "
                     "or data pathological)")
-            alpha_new, gram, b = _wls(x_mat, y, w, inv)
+            alpha_new, gram, b = _wls(x_mat, y, w, inv, alpha_s)
             resid = y - x_mat @ (alpha_new * inv)
             obj_new = float(np.sum(_bisquare_rho(resid, width)))
             if obj_new > obj + 1e-9 * (1.0 + abs(obj)):

@@ -231,6 +231,32 @@ def test_fit_report_says_where_b_started(pipeline, tmp_path):
     assert doc["evaluations"] >= 1
 
 
+def test_fit_b_at_a_tiny_lam_stops_typed(tmp_path, capsys):
+    """B with lam = 1e-6 on 3 days at 60 s (scenario seed 1, the default
+    21-plane bank): the model Hessian at C's start is zero, its minimizer
+    is no descent direction, and the fit stops at line_search after 0
+    steps at C's capacities, 36.164 kWp, with exit 3 and a report that
+    says so."""
+    (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(
+        {"days": 3, "period_s": 60, "seed": 1}))
+    (tmp_path / "site.yaml").write_text(yaml.safe_dump(
+        {"latitude": 47.5, "longitude": 7.5, "albedo": 0.2}))
+    data = tmp_path / "data"
+    assert main(["synth", "--scenario", str(tmp_path / "scenario.yaml"),
+                 "--out-dir", str(data)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["fit", "--site", str(tmp_path / "site.yaml"),
+                 "--ghi", str(data / "ghi.csv"),
+                 "--t-air", str(data / "t_air.csv"),
+                 "--p", str(data / "p.csv"), "--method", "B",
+                 "--lam", "1e-6", "--out-model", str(tmp_path / "m.json"),
+                 "--out-report", str(report)]) == 3
+    assert "total 36.164 kWp" in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert (doc["status"], doc["converged"], doc["iterations"],
+            doc["evaluations"]) == ("line_search", False, 0, 1)
+
+
 def test_fit_accepts_cutoffs_as_periods(pipeline, tmp_path):
     out = tmp_path / "model_d.json"
     report = tmp_path / "report_d.json"
@@ -808,43 +834,53 @@ seen = {"import pvdisagg": sorted(new - set(sys.stdlib_module_names))}
 import pvdisagg.cli
 solvers = %r
 seen["import pvdisagg.cli"] = [m for m in solvers if m in sys.modules]
-for argv in json.loads(sys.argv[1]):
+for label, argv in json.loads(sys.argv[1]):
     assert pvdisagg.cli.main(argv) == 0, argv
-    seen[argv[0]] = [m for m in solvers if m in sys.modules]
+    seen[label] = [m for m in solvers if m in sys.modules]
 print(json.dumps(seen))
 """ % (_SOLVER_MODULES,)
 
 
 def test_only_fit_loads_scipy(pipeline, tmp_path):
-    """transpose, disaggregate and metrics run without scipy's solver
-    modules; a D fit loads scipy.optimize for its regression but neither
-    scipy.signal nor scipy.stats, since the band-pass filter is numpy
-    only; the package needs only numpy."""
+    """transpose, disaggregate and metrics, and fits by B, C and D, run
+    without scipy's solver modules, one after another in one process:
+    their solvers and the band-pass filter are numpy only.  A fit by A,
+    run last, loads scipy.optimize for its LP; the package needs only
+    numpy."""
     data, site = pipeline["data"], str(pipeline["site"])
     series = [f"--ghi={data / 'ghi.csv'}", f"--t-air={data / 't_air.csv'}"]
-    argvs = [
-        ["transpose", "--site", site, *series, "--out", str(tmp_path / "b")],
-        ["disaggregate", "--model", str(pipeline["model"]), "--site", site,
-         *series, f"--p={data / 'p.csv'}", "--out", str(tmp_path / "e")],
-        ["metrics", f"--g-true={data / 'g_true.csv'}",
-         f"--g-hat={tmp_path / 'e'}", "--capacity-kwp", "35.3",
-         "--out", str(tmp_path / "m")],
-        ["fit", "--site", site, *series, f"--p={data / 'p.csv'}",
-         "--method", "D", "--f-low-s", "7200", "--f-high-s", "600",
-         "--out-model", str(tmp_path / "d")],
+    fit = ["fit", "--site", site, *series, f"--p={data / 'p.csv'}"]
+    runs = [
+        ("transpose", ["transpose", "--site", site, *series,
+                       "--out", str(tmp_path / "b")]),
+        ("disaggregate", ["disaggregate", "--model", str(pipeline["model"]),
+                          "--site", site, *series, f"--p={data / 'p.csv'}",
+                          "--out", str(tmp_path / "e")]),
+        ("metrics", ["metrics", f"--g-true={data / 'g_true.csv'}",
+                     f"--g-hat={tmp_path / 'e'}", "--capacity-kwp", "35.3",
+                     "--out", str(tmp_path / "m")]),
+        ("fit B", [*fit, "--method", "B", "--lam", "1",
+                   "--out-model", str(tmp_path / "mb")]),
+        ("fit C", [*fit, "--method", "C", "--c", "30",
+                   "--out-model", str(tmp_path / "mc")]),
+        ("fit D", [*fit, "--method", "D", "--f-low-s", "7200",
+                   "--f-high-s", "600", "--out-model", str(tmp_path / "md")]),
+        ("fit A", [*fit, "--method", "A",
+                   "--out-model", str(tmp_path / "ma")]),
     ]
     src = str(Path(pvdisagg.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
         capture_output=True, text=True, timeout=300,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("import pvdisagg") == ["numpy", "pvdisagg"]
-    assert seen.pop("fit") == ["scipy.optimize", "scipy.linalg",
-                               "scipy.sparse"]
+    assert seen.pop("fit A") == ["scipy.optimize", "scipy.linalg",
+                                 "scipy.sparse"]
     assert seen == {"import pvdisagg.cli": [], "transpose": [],
-                    "disaggregate": [], "metrics": []}
+                    "disaggregate": [], "metrics": [], "fit B": [],
+                    "fit C": [], "fit D": []}
 
 
 @pytest.mark.parametrize("method, flags", [

@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Ten rules: a module uses every name it imports (``__init__.py`` is
+Eleven rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -20,10 +20,14 @@ in the package, the acceptance tests or the benchmark harness, since a
 setting no caller varies is a constant, and belongs next to the code that
 reads it; and no ``assert`` statement checks anything in the package,
 since ``python -O`` strips them, and an invariant must hold under it
-(the package raises ``AssertionError`` explicitly instead); and no
-module imports ``scipy.signal``, by statement or ``import_module``, since
+(the package raises ``AssertionError`` explicitly instead); no module
+imports ``scipy.signal``, by statement or ``import_module``, since
 loading it pulls in ``scipy.stats`` and costs more time and memory than
-every fit of a sweep, while the band-pass filter needs numpy only.
+every fit of a sweep, while the band-pass filter needs numpy only; and
+the package imports scipy in two places only, both for method A's LP:
+``optim.solve_lp`` imports ``linprog``, and ``methods.fit`` loads
+``scipy.optimize`` before its clock when it fits A, so that B, C and D
+fits, and every other command, load no scipy module.
 """
 
 import ast
@@ -282,26 +286,39 @@ def assert_statements(tree) -> list:
             if isinstance(node, ast.Assert)]
 
 
-def scipy_signal_imports(tree) -> list:
-    """Every import of scipy.signal or a name in it in tree, by an import
-    statement or an import_module call, by line."""
+def scipy_imports(tree) -> list:
+    """Every import of scipy or a name in it in tree, by an import
+    statement or an import_module call, as (owner, name, line) with owner
+    the innermost enclosing function (``<module>`` outside any)."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [f"{node.module}.{alias.name}" for alias in node.names]
-        elif isinstance(node, ast.Call) and getattr(
-                node.func, "attr", getattr(node.func, "id", None)
-        ) == "import_module":
-            names = [a.value for a in node.args
-                     if isinstance(a, ast.Constant)]
-        else:
-            continue
-        if any(name == "scipy.signal" or name.startswith("scipy.signal.")
-               for name in names):
-            found.append(f"line {node.lineno}")
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [f"{child.module}.{alias.name}"
+                         for alias in child.names]
+            elif isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", getattr(child.func, "id", None)
+            ) == "import_module":
+                names = [a.value for a in child.args
+                         if isinstance(a, ast.Constant)]
+            else:
+                names = []
+            found.extend((owner, name, child.lineno) for name in names
+                         if name == "scipy" or name.startswith("scipy."))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+    visit(tree, "<module>")
     return found
+
+
+def scipy_signal_imports(tree) -> list:
+    """The lines of tree that import scipy.signal or a name in it."""
+    return list(dict.fromkeys(
+        f"line {line}" for _, name, line in scipy_imports(tree)
+        if name == "scipy.signal" or name.startswith("scipy.signal.")))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES
@@ -355,6 +372,13 @@ def test_no_assert_statement(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_scipy_signal_import(path):
     assert scipy_signal_imports(_tree(path)) == []
+
+
+def test_only_method_a_loads_scipy():
+    loads = {(path.name, owner, name) for path in MODULES
+             for owner, name, _ in scipy_imports(_tree(path))}
+    assert loads == {("optim.py", "solve_lp", "scipy.optimize.linprog"),
+                     ("methods.py", "fit", "scipy.optimize")}
 
 
 def test_checks_catch_what_they_forbid():
@@ -429,3 +453,8 @@ def test_checks_catch_what_they_forbid():
                       "    from scipy.signalling import x\n")
     assert scipy_signal_imports(loads) == ["line 1", "line 3", "line 4",
                                            "line 6"]
+    assert scipy_imports(loads) == [
+        ("<module>", "scipy.signal", 1), ("<module>", "scipy.sparse", 2),
+        ("<module>", "scipy.signal", 3), ("<module>", "scipy.optimize", 3),
+        ("<module>", "scipy.signal.butter", 4), ("f", "scipy.signal", 6),
+        ("f", "scipy.optimize", 7), ("f", "scipy.signalling.x", 8)]

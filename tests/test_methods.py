@@ -1,5 +1,7 @@
 """Estimator behavior: recovery in each method's own regime, documented
 blind spots, masking policy, and the reconstruction identity."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -654,10 +656,10 @@ def test_method_b_start_from_c_keeps_the_cold_optimum():
 @pytest.mark.parametrize("res", [60, 300])
 def test_method_b_certifies_where_the_full_model_step_ascends(res):
     """On the first of scenario seed 23's days B's model Hessian is near
-    singular over the planes a positive gradient holds at zero, and the
-    minimizer of the model over all planes, which loses the others'
-    gradient, ascends: B steps on the model over the free planes instead,
-    and certifies its projected gradient rather than stopping above it."""
+    singular over the planes a positive gradient holds at zero, where a
+    model minimizer that loses the others' gradient ascended: the active
+    set started from the current capacities keeps that gradient, and B
+    certifies its projected gradient rather than stopping above it."""
     data = generate_scenario(ScenarioSpec(days=3, period_s=10, seed=23))
     p = resample_average(data.p, res)
     day = np.arange(p.samples_per_day)  # the training day of fold 1
@@ -666,7 +668,43 @@ def test_method_b_certifies_where_the_full_model_step_ascends(res):
                             MethodParams("B", res, lam=1.0))
     assert cap.report.status == "solved" and cap.report.converged
     assert cap.report.dual_residual <= methods._ENVELOPE_TOL
-    assert cap.report.notes["free_plane_steps"] >= 1
+
+
+def test_small_lam_hessians_end_the_active_set_within_its_cap(monkeypatch):
+    """B at lam = 1e-6 on 3 days at 60 s (scenario seed 1) hands solve_qp
+    model Hessians of rank 1 to 6 of 21 from a zero start, several with a
+    singular passive Gram on the way, and a zero one at C's start, where
+    the model is unbounded below and solve_qp certifies nothing.  Every
+    solve ends within the active set's cap, with no RuntimeWarning; both
+    loops stop at line_search, as B at so small a lam does."""
+    data = generate_scenario(ScenarioSpec(days=3, period_s=60, seed=1))
+    starts = np.arange(0, 3 * 1440, 1440)
+    mu = 5e-7  # lam = 1e-6
+
+    def demand(y):
+        l_vals, tv = solve_l1_trend_qp(y, mu, starts)
+        runs = np.union1d(starts, np.flatnonzero(np.diff(l_vals)) + 1)
+        return l_vals, runs, mu * tv
+    seen = []
+    real = methods.solve_qp
+
+    def spy(prog, **kwargs):
+        x, rep = real(prog, **kwargs)
+        seen.append((np.linalg.matrix_rank(prog.h), rep))
+        return x, rep
+    monkeypatch.setattr(methods, "solve_qp", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cold, _ = methods._fit_envelope(data.p, data.bank, demand,
+                                        np.zeros(21))
+        cap, _ = fit_method_b(data.p, data.bank, 1e-6, starts=starts)
+    ranks = [rank for rank, _ in seen]
+    assert 0 in ranks and {4, 5} <= set(ranks)
+    assert any(rep.notes.get("singular_passive_gram") for _, rep in seen)
+    assert all(rep.status != "max_iter"
+               and rep.iterations < optim._SOLVES_PER_VARIABLE * 21
+               for _, rep in seen)
+    assert cold.report.status == cap.report.status == "line_search"
 
 
 # ------------------------------------------------------------ dispatcher

@@ -1,6 +1,7 @@
+import warnings
+
 import numpy as np
 import pytest
-import scipy.optimize
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -235,6 +236,110 @@ def test_qp_polish_respects_multiplier_signs():
     assert worst <= 1e-6
 
 
+# --- the active set against scipy's nnls -----------------------------------
+
+def _nnls_instance(seed, n, case):
+    """(tall A, b, free) of a random least-squares problem.  "coincident"
+    makes the last column a copy of column 0 and the one before twice it,
+    so A'A is singular; "mixed" frees about 40% of the variables."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n + 4, n))
+    if case == "coincident":
+        a[:, -1] = a[:, 0]
+        a[:, -2] = 2.0 * a[:, 0]
+    free = (rng.random(n) < 0.4 if case == "mixed"
+            else np.zeros(n, dtype=bool))
+    return a, rng.normal(size=n + 4), free
+
+
+def _kkt(gram, f, x, free):
+    """Projected-gradient residual of x, relative to the size of the terms
+    the gradient sums."""
+    grad = gram @ x - f
+    proj = np.where(free, x - grad, np.clip(x - grad, 0.0, None))
+    size = np.abs(gram) @ np.abs(x) + np.abs(f)
+    return np.max(np.abs(x - proj)) / (1.0 + np.max(size))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 21),
+       case=st.sampled_from(["plain", "coincident", "mixed"]))
+def test_active_set_matches_scipy_nnls(seed, n, case):
+    """From a zero start the active set on (A'A, A'b) returns scipy's nnls
+    answer on (A, b) to 1e-10 of its size, with a KKT residual of at most
+    1e-12.  nnls takes a free variable as the difference of two
+    nonnegative columns, a and -a."""
+    a, b, free = _nnls_instance(seed, n, case)
+    parts, _ = nnls(np.hstack([a, -a[:, free]]), b)
+    ref = parts[:n]
+    ref[free] -= parts[n:]
+    gram, f = a.T @ a, a.T @ b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, solves, status = optim._active_set(gram, f, np.zeros(n), free)
+    assert status == "solved" and solves < 3 * n
+    assert np.max(np.abs(x - ref)) <= 1e-10 * (1.0 + np.max(np.abs(ref)))
+    assert _kkt(gram, f, x, free) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 21),
+       case=st.sampled_from(["plain", "coincident", "mixed"]))
+def test_active_set_warm_start_ends_where_a_cold_one_does(seed, n, case):
+    """A start with a random support, random positive values on it and
+    random free values ends at the cold start's x; with coincident
+    columns the minimizer is not unique, and both end at the same fit Ax.
+    Either way the KKT residual is at most 1e-12."""
+    a, b, free = _nnls_instance(seed, n, case)
+    rng = np.random.default_rng(seed + 1)
+    start = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 3.0, n), 0.0)
+    start[free] = rng.normal(size=int(free.sum()))
+    gram, f = a.T @ a, a.T @ b
+    cold, _, _ = optim._active_set(gram, f, np.zeros(n), free)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm, solves, status = optim._active_set(gram, f, start, free)
+    assert status in ("solved", "singular") and solves < 3 * n
+    assert _kkt(gram, f, warm, free) <= 1e-12
+    got, want = (warm, cold) if case != "coincident" else (a @ warm, a @ cold)
+    assert np.max(np.abs(got - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
+
+
+def test_active_set_steps_to_zero_on_a_zero_gram():
+    """B's model Hessian at C's start with lam = 1e-6 is zero: from a
+    positive start Cholesky rejects the passive Gram, lstsq gives z = 0,
+    and one blocked step lands every variable exactly on 0, where a
+    nonpositive f certifies it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, solves, status = optim._active_set(
+            np.zeros((3, 3)), np.array([-1.0, 0.0, -2.0]),
+            np.array([1.0, 2.0, 0.5]), np.zeros(3, dtype=bool))
+    assert np.array_equal(x, np.zeros(3))
+    assert (solves, status) == (2, "solved")
+
+
+def test_active_set_cap_is_a_reported_status(monkeypatch):
+    """A run that needs more solves than its cap stops there: solve_qp
+    reports max_iter and not converged, and irls_bisquare raises
+    SolverError.  Six variables all positive at the optimum need seven
+    solves from a zero start; a cap of one solve per variable allows
+    six."""
+    rng = np.random.default_rng(20)
+    a = rng.uniform(0.0, 1.0, size=(30, 6))
+    b = a @ rng.uniform(0.5, 1.0, 6)
+    prog = QuadraticProgram(a.T @ a, a.T @ b, nonneg=np.ones(6, dtype=bool))
+    x, rep = solve_qp(prog)
+    assert rep.converged and rep.iterations == 7 and np.all(x > 0.0)
+    monkeypatch.setattr(optim, "_SOLVES_PER_VARIABLE", 1)
+    x, rep = solve_qp(prog)
+    assert (rep.status, rep.converged, rep.iterations) == ("max_iter",
+                                                           False, 6)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    with pytest.raises(SolverError, match="weighted NNLS ended max_iter"):
+        irls_bisquare(a, b)
+
+
 # --- segment-wise total-variation prox -------------------------------------
 
 ONE = np.zeros(1, dtype=int)  # a single segment
@@ -421,7 +526,7 @@ def test_weighted_nnls_on_the_gram_matches_the_tall_oracle(seed, k, j, case):
     y = x @ rng.uniform(-1.0, 2.0, j + 1) + 0.3 * rng.standard_normal(k)
     inv = rng.uniform(0.5, 2.0, j + 1)
 
-    a, gram, b = _wls(x, y, w, inv)
+    a, gram, b = _wls(x, y, w, inv, np.zeros(j + 1))
 
     sw = np.sqrt(w)
     xs, ys = x * inv * sw[:, None], y * sw
@@ -450,9 +555,12 @@ def test_irls_reports_the_kkt_residual_of_its_last_nnls(monkeypatch):
     _, rep = irls_bisquare(x, y)
     assert rep.converged and rep.dual_residual <= 1e-12
 
-    exact = scipy.optimize.nnls
-    monkeypatch.setattr(scipy.optimize, "nnls",
-                        lambda a, b: (exact(a, b)[0] + 1e-4, 0.0))
+    exact = optim._active_set
+
+    def off(*args):
+        sol, solves, status = exact(*args)
+        return sol + 1e-4, solves, status
+    monkeypatch.setattr(optim, "_active_set", off)
     _, rep = irls_bisquare(x, y)
     assert rep.dual_residual >= 1e-6
 
