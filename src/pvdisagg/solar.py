@@ -3,6 +3,8 @@
 Pipeline: sun position (zenith/azimuth/extraterrestrial), decomposition of
 global horizontal irradiance into beam + diffuse, anisotropic transposition
 onto tilted planes, and cell-temperature correction of the plane irradiance.
+The transposition treats a plane as its unit normal, so the whole bank is one
+(J x 3) @ (3 x K) product, which build_bank runs per block of samples.
 All angles in degrees, irradiances in W/m2, temperatures in Celsius.
 """
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import config_keys, config_mappings, config_number
+from .errors import InputError, config_keys, config_mappings, config_number
 from .timeseries import (
     TimeSeries,
     UNIT_CELSIUS,
@@ -24,6 +26,7 @@ from .timeseries import (
 
 SOLAR_CONSTANT = 1367.0  # W/m2
 ZENITH_BEAM_CUTOFF = 87.0  # degrees; beam forced to zero below this sun height
+_BANK_BLOCK = 2048  # samples per build_bank pass: no temporary is bank-sized
 
 _EPOCH_1950 = -631152000
 _EPOCH_2101 = 4133980800
@@ -189,11 +192,10 @@ def sun_position(t, site: SiteConfig) -> SunPosition:
 def clearsky_ghi(zenith) -> np.ndarray:
     """Haurwitz clear-sky GHI from solar zenith (degrees)."""
     cos_zen = np.cos(np.deg2rad(np.asarray(zenith, dtype=float)))
-    out = np.where(cos_zen > 0,
-                   1098.0 * cos_zen * np.exp(-0.059 / np.maximum(cos_zen,
-                                                                 1e-9)),
-                   0.0)
-    return out
+    return np.where(cos_zen > 0,
+                    1098.0 * cos_zen * np.exp(-0.059 / np.maximum(cos_zen,
+                                                                  1e-9)),
+                    0.0)
 
 
 def decompose_ghi(ghi, sun: SunPosition):
@@ -204,12 +206,10 @@ def decompose_ghi(ghi, sun: SunPosition):
     Closure ghi = dni*cos(zenith) + dhi holds exactly; for zenith >= 87 deg
     the beam is forced to zero and everything is diffuse.
     """
-    ghi = np.asarray(ghi, dtype=float)
+    zenith, extra, ghi = np.broadcast_arrays(
+        sun.zenith, sun.extraterrestrial_normal, ghi)
     if np.any(ghi < 0):
         raise ValueError("ghi must be nonnegative")
-    zenith = np.asarray(sun.zenith, dtype=float)
-    extra = np.asarray(sun.extraterrestrial_normal, dtype=float)
-    zenith, extra, ghi = np.broadcast_arrays(zenith, extra, ghi)
 
     cos_zen = np.cos(np.deg2rad(zenith))
     low_sun = (zenith >= ZENITH_BEAM_CUTOFF) | (ghi <= 0)
@@ -241,40 +241,36 @@ def decompose_ghi(ghi, sun: SunPosition):
     return dni, dhi
 
 
-def transpose_hay_davies(dni, dhi, ghi, sun: SunPosition,
-                         plane: PlaneConfig, site: SiteConfig):
+def transpose_hay_davies(dni, dhi, ghi, sun: SunPosition, planes,
+                         site: SiteConfig):
     """Plane-of-array irradiance: beam + anisotropic sky + ground reflection.
 
-    The circumsolar share of the diffuse is weighted by the anisotropy index
-    dni/extraterrestrial and projected like the beam; the remainder is
-    isotropic with the (1+cos tilt)/2 sky view factor; ground reflection
-    uses the site albedo.
+    The inputs are 1-D series; planes is one PlaneConfig (one series out) or
+    a sequence (one row per plane).  A plane is only its normal n = (cos t,
+    sin t cos a, sin t sin a) and view factors (1 ± cos t)/2: cos(incidence)
+    = n · (cos z, sin z cos A, sin z sin A), one product for all planes.
+    The circumsolar share dni/extraterrestrial of the diffuse goes like the
+    beam, cos z floored at the beam cutoff; the rest sees the sky, the ground
+    the albedo.  Temporaries are J x K: build_bank passes sample blocks.
     """
-    dni = np.asarray(dni, dtype=float)
-    dhi = np.asarray(dhi, dtype=float)
-    ghi = np.asarray(ghi, dtype=float)
-    zenith = np.asarray(sun.zenith, dtype=float)
-    sun_az = np.asarray(sun.azimuth, dtype=float)
-    extra = np.asarray(sun.extraterrestrial_normal, dtype=float)
+    single = isinstance(planes, PlaneConfig)
+    plane_list = [planes] if single else planes
+    tilt = np.radians([p.tilt for p in plane_list])
+    azimuth = np.radians([p.azimuth for p in plane_list])
+    normal = np.column_stack((np.cos(tilt), np.sin(tilt) * np.cos(azimuth),
+                              np.sin(tilt) * np.sin(azimuth)))
+    zenith, sun_az = np.radians(sun.zenith), np.radians(sun.azimuth)
+    toward_sun = np.stack((np.cos(zenith), np.sin(zenith) * np.cos(sun_az),
+                           np.sin(zenith) * np.sin(sun_az)))
 
-    rad = np.deg2rad
-    cos_zen = np.cos(rad(zenith))
-    tilt = plane.tilt
-    cos_tilt = np.cos(rad(tilt))
-    cos_inc = (cos_tilt * cos_zen
-               + np.sin(rad(tilt)) * np.sin(rad(zenith))
-               * np.cos(rad(sun_az - plane.azimuth)))
-    cos_inc_pos = np.clip(cos_inc, 0.0, None)
-
-    # beam projection ratio, denominator floored at the beam cutoff elevation
-    rb = cos_inc_pos / np.maximum(cos_zen,
-                                  np.cos(np.deg2rad(ZENITH_BEAM_CUTOFF)))
-    anisotropy = np.clip(dni / extra, 0.0, 1.0)
-
-    beam = dni * cos_inc_pos
-    sky = dhi * (anisotropy * rb + (1.0 - anisotropy) * (1.0 + cos_tilt) / 2.0)
-    ground = ghi * site.albedo * (1.0 - cos_tilt) / 2.0
-    return np.clip(beam + sky + ground, 0.0, None)
+    anisotropy = np.clip(dni / sun.extraterrestrial_normal, 0.0, 1.0)
+    along_beam = dni + dhi * anisotropy / np.maximum(
+        toward_sun[0], np.cos(np.radians(ZENITH_BEAM_CUTOFF)))
+    poa = along_beam * np.maximum(normal @ toward_sun, 0.0)
+    poa += np.outer((1.0 + normal[:, 0]) / 2.0, dhi * (1.0 - anisotropy))
+    poa += np.outer(site.albedo * (1.0 - normal[:, 0]) / 2.0, ghi)
+    np.maximum(poa, 0.0, out=poa)
+    return poa[0] if single else poa
 
 
 def temperature_correct(poa, t_air, model: TemperatureModel):
@@ -283,10 +279,9 @@ def temperature_correct(poa, t_air, model: TemperatureModel):
     Cell temperature is t_air + beta*poa; output is
     poa * (1 + gamma*(t_cell - t_ref)), floored at zero.
     """
-    poa = np.asarray(poa, dtype=float)
     if np.any(poa < 0):
         raise ValueError("poa must be nonnegative")
-    t_cell = np.asarray(t_air, dtype=float) + model.beta * poa
+    t_cell = t_air + model.beta * poa
     return np.clip(poa * (1.0 + model.gamma * (t_cell - model.t_ref)),
                    0.0, None)
 
@@ -348,7 +343,7 @@ class PlaneBank:
 
 def build_bank(ghi: TimeSeries, t_air: TimeSeries, site: SiteConfig,
                planes, model: TemperatureModel | None = None) -> PlaneBank:
-    """Run the full chain over a GHI + air-temperature pair of series."""
+    """Run the chain over a GHI + air-temperature pair, per sample block."""
     if ghi.unit != UNIT_W_PER_M2:
         raise ValueError("ghi series must be in W_per_m2")
     if t_air.unit != UNIT_CELSIUS:
@@ -356,12 +351,15 @@ def build_bank(ghi: TimeSeries, t_air: TimeSeries, site: SiteConfig,
     check_aligned(ghi, t_air)
     if model is None:
         model = TemperatureModel()
-    sun = sun_position(ghi.timestamps(), site)
-    dni, dhi = decompose_ghi(ghi.values, sun)
+    stamps = ghi.timestamps()
     rows = np.empty((len(planes), len(ghi)))
-    for j, plane in enumerate(planes):
-        poa = transpose_hay_davies(dni, dhi, ghi.values, sun, plane, site)
-        rows[j] = temperature_correct(poa, t_air.values, model)
+    for lo in range(0, len(ghi), _BANK_BLOCK):
+        block = slice(lo, lo + _BANK_BLOCK)
+        ghi_block = ghi.values[block]
+        sun = sun_position(stamps[block], site)
+        dni, dhi = decompose_ghi(ghi_block, sun)
+        poa = transpose_hay_davies(dni, dhi, ghi_block, sun, planes, site)
+        rows[:, block] = temperature_correct(poa, t_air.values[block], model)
     return PlaneBank(tuple(planes), rows, ghi.start_epoch, ghi.period)
 
 
@@ -384,6 +382,8 @@ def site_from_config(cfg: dict):
                       altitude=number("altitude", 0.0))
     if "planes" in cfg and cfg["planes"] is not None:
         entries = config_mappings(cfg["planes"], "planes")
+        if not entries:  # refused here, before any series is read
+            raise InputError("planes: expected at least one plane")
         for p in entries:
             config_keys(p, ("tilt", "azimuth"), "planes")
         planes = [PlaneConfig(number("tilt", entry=p),

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import pvdisagg
-from pvdisagg import evaluation
+from pvdisagg import cli, evaluation
 from pvdisagg.cli import build_parser, main
 from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
@@ -817,6 +817,31 @@ def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
     elif code == 0:  # every row of the sweep is at the one resolution
         rows = (tmp_path / "rows.csv").read_text().splitlines()[2:]
         assert rows and all(row.startswith("A,900,") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["transpose", "fit"])
+def test_an_empty_plane_list_exits_2_before_any_csv_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, command):
+    """`planes: []` is refused while the site YAML is parsed, with exit 2
+    and a message naming planes: no series is read and no bank built."""
+    site = tmp_path / "site.yaml"
+    site.write_text(yaml.safe_dump({"latitude": 47.5, "longitude": 7.5,
+                                    "planes": []}))
+
+    def no_read(*args):
+        pytest.fail(f"{command} read a CSV: {args}")
+    monkeypatch.setattr(cli, "ingest_csv", no_read)
+    data = pipeline["data"]
+    argv = [command, "--site", str(site), f"--ghi={data / 'ghi.csv'}",
+            f"--t-air={data / 't_air.csv'}"]
+    if command == "fit":
+        argv += [f"--p={data / 'p.csv'}", "--method", "C", "--c", "30",
+                 "--out-model", str(tmp_path / "model.json")]
+    else:
+        argv += ["--out", str(tmp_path / "bank.csv")]
+    assert main(argv) == 2
+    assert "planes: expected at least one plane" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [site]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from pvdisagg import solar
 from pvdisagg.solar import (PlaneBank, PlaneConfig, SiteConfig, SunPosition,
                             TemperatureModel, build_bank, clearsky_ghi,
                             decompose_ghi, default_bank, site_from_config,
@@ -174,6 +176,70 @@ def test_transpose_south_beats_north_in_june(site):
     assert south > north
 
 
+def _per_plane_reference(dni, dhi, ghi, sun, plane, site):
+    """The per-plane Hay-Davies formula in its cos(A - a) form: the
+    oracle for the one-product transposition."""
+    cos_zen = np.cos(np.radians(sun.zenith))
+    cos_tilt = np.cos(np.radians(plane.tilt))
+    cos_inc = np.clip(cos_tilt * cos_zen
+                      + np.sin(np.radians(plane.tilt))
+                      * np.sin(np.radians(sun.zenith))
+                      * np.cos(np.radians(sun.azimuth - plane.azimuth)),
+                      0.0, None)
+    rb = cos_inc / np.maximum(cos_zen, np.cos(np.radians(87.0)))
+    anisotropy = np.clip(dni / sun.extraterrestrial_normal, 0.0, 1.0)
+    sky = dhi * (anisotropy * rb + (1.0 - anisotropy) * (1.0 + cos_tilt) / 2)
+    ground = ghi * site.albedo * (1.0 - cos_tilt) / 2.0
+    return np.clip(dni * cos_inc + sky + ground, 0.0, None)
+
+
+def _random_planes(rng, n):
+    tilts = np.concatenate(([0.0, 90.0, 0.0, 90.0], rng.uniform(0, 90, n)))
+    azimuths = rng.uniform(0.0, 360.0, tilts.size)
+    return [PlaneConfig(float(t), float(a)) for t, a in zip(tilts, azimuths)]
+
+
+def test_transpose_bank_matches_the_per_plane_formula(site):
+    """Random planes (tilt 0 and 90 included) over a year of hourly sun
+    positions, with beam and diffuse drawn independently of the sun, so
+    the floored denominator at zenith >= 87 deg carries a circumsolar
+    term: every row is within 1e-12 of the reference row's maximum."""
+    rng = np.random.default_rng(21)
+    t = 1672531200 + 3600 * np.arange(8760) + rng.integers(0, 3600, 8760)
+    sun = sun_position(t, site)
+    dni = rng.uniform(0.0, 1000.0, t.size)
+    dhi = rng.uniform(0.0, 300.0, t.size)
+    ghi = rng.uniform(0.0, 1100.0, t.size)
+    planes = _random_planes(rng, 60)
+    got = transpose_hay_davies(dni, dhi, ghi, sun, planes, site)
+    want = np.array([_per_plane_reference(dni, dhi, ghi, sun, p, site)
+                     for p in planes])
+    assert got.shape == (len(planes), t.size)
+    assert np.all(np.abs(got - want).max(axis=1)
+                  <= 1e-12 * want.max(axis=1))
+    # the draw covers the sun up but behind a plane, and the low-sun floor
+    beam_only = np.array([_per_plane_reference(dni, 0 * dhi, 0 * ghi, sun,
+                                               p, site) for p in planes])
+    daylight = sun.zenith < 90.0
+    assert np.count_nonzero((beam_only == 0) & daylight) > 10_000
+    assert np.count_nonzero((sun.zenith >= 87.0) & daylight) > 50
+
+
+def test_transpose_one_plane_is_the_row_of_the_sequence_form(site):
+    rng = np.random.default_rng(4)
+    sun = sun_position(START + 600 * np.arange(500), site)
+    dni, dhi = rng.uniform(0, 900, 500), rng.uniform(0, 250, 500)
+    ghi = rng.uniform(0, 1000, 500)
+    planes = _random_planes(rng, 6)
+    bank = transpose_hay_davies(dni, dhi, ghi, sun, planes, site)
+    for j, plane in enumerate(planes):
+        row = transpose_hay_davies(dni, dhi, ghi, sun, plane, site)
+        assert row.shape == (500,)
+        assert np.array_equal(
+            row, transpose_hay_davies(dni, dhi, ghi, sun, [plane], site)[0])
+        assert np.max(np.abs(row - bank[j])) <= 1e-12 * bank[j].max()
+
+
 # --- temperature derating --------------------------------------------------
 
 def test_temperature_frozen_point():
@@ -246,6 +312,46 @@ def test_bank_horizontal_row_matches_ghi_at_reference_cell():
     bank = build_bank(ghi, t_air, site, [PlaneConfig(0.0, 180.0)])
     assert np.max(np.abs(bank.irradiance[0] - ghi.values)) \
         <= 1e-9 * max(1.0, ghi.values.max())
+
+
+@pytest.mark.parametrize("n", [2 * solar._BANK_BLOCK + 37,
+                               solar._BANK_BLOCK, solar._BANK_BLOCK - 5, 1])
+def test_build_bank_blocks_match_the_per_plane_chain(n):
+    """A series of several blocks and a partial one, of exactly one
+    block, or shorter than a block: the blocked build equals the chain
+    run once over the whole series, one plane at a time."""
+    ghi, t_air, site = _mini_inputs(n, period=30)
+    planes = default_bank()
+    bank = build_bank(ghi, t_air, site, planes)
+    sun = sun_position(ghi.timestamps(), site)
+    dni, dhi = decompose_ghi(ghi.values, sun)
+    want = np.array([temperature_correct(
+        _per_plane_reference(dni, dhi, ghi.values, sun, p, site),
+        t_air.values, TemperatureModel()) for p in planes])
+    assert bank.irradiance.shape == want.shape
+    err = np.abs(bank.irradiance - want).max(axis=1)
+    assert np.all(err <= 1e-12 * np.maximum(want.max(axis=1), 1.0))
+
+
+def test_build_bank_peak_memory_stays_near_the_bank():
+    """21 planes over 6 days at 10 s (51,840 samples): the traced peak of
+    a build stays below 1.5 times the bank's own bytes, because the chain
+    runs per block of samples and no temporary is bank-sized."""
+    ghi, t_air, site = _mini_inputs(51_840, period=10)
+    build_bank(ghi, t_air, site, default_bank()[:2])  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        bank = build_bank(ghi, t_air, site, default_bank())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bank.irradiance.nbytes
+
+
+def test_build_bank_refuses_an_empty_plane_list():
+    ghi, t_air, site = _mini_inputs()
+    with pytest.raises(ValueError, match="bank needs at least one plane"):
+        build_bank(ghi, t_air, site, [])
 
 
 def test_bank_zero_ghi_gives_zero_bank():
