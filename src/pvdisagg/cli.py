@@ -21,8 +21,8 @@ import yaml
 from . import __version__, dsp
 from .errors import (InputError, SolverError, config_keys, config_mappings,
                      config_number)
-from .evaluation import (DEFAULT_RESOLUTIONS, ScenarioSpec, check_fractions,
-                         compute_metrics, generate_scenario,
+from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_RESOLUTIONS, ScenarioSpec,
+                         check_fractions, compute_metrics, generate_scenario,
                          penetration_experiment, run_cv)
 from .methods import CapacityVector, MethodParams, disaggregate, fit
 from .solar import build_bank, site_from_config
@@ -276,7 +276,7 @@ def cmd_sweep(args) -> int:
         resolutions = _numbers(cfg.get("resolutions_s", DEFAULT_RESOLUTIONS),
                                "resolutions_s", True)
     else:
-        fractions = _numbers(cfg.get("fractions", (1.0, 0.5, 0.25)),
+        fractions = _numbers(cfg.get("fractions", DEFAULT_FRACTIONS),
                              "fractions")
         check_fractions(fractions)
         res = cfg.get("penetration_resolution_s")
@@ -316,8 +316,8 @@ def cmd_sweep(args) -> int:
                          f"{r.seconds:.3f},{int(r.converged)}\n")
         summary = {"provenance": _prov_dict(cfg, spec.seed),
                    "grid_points": len(result.grid_points()),
-                   "fold_stats": result.fold_stats("nrmse"),
-                   "summary_nrmse": result.summary("nrmse")}
+                   "fold_stats": result.fold_stats(),
+                   "summary_nrmse": result.summary()}
         _write_json(f"{out}/summary.json", summary)
         s = summary["summary_nrmse"]
         print(f"{len(result.rows)} rows over "

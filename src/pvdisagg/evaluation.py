@@ -25,6 +25,7 @@ from .timeseries import (SECONDS_PER_DAY, UNIT_CELSIUS, UNIT_KW,
                          make_folds, mask_night, resample_average)
 
 DEFAULT_RESOLUTIONS = (10, 30, 60, 120, 300, 600, 900)
+DEFAULT_FRACTIONS = (1.0, 0.5, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +85,20 @@ DEFAULT_PLANT = (
 _CLOUD_KINDS = ("clear", "partly", "overcast")
 _PLANT_KEYS = ("tilt", "azimuth", "kwp")
 _ACTUATION_S = 300  # storage setpoints hold for windows this long
+# every scenario's demand shape and battery: level and step of the demand,
+# size and length of its inrush pulses, the battery's rating and capacity
+_DEMAND_BASE_KW = 6.0
+_DEMAND_STEP_S = 1800
+_INRUSH_KW = 4.0
+_INRUSH_S = 120
+_BATTERY_KVA = 12.0
+_BATTERY_KWH = 26.4
 
 
 @dataclass
 class ScenarioSpec:
-    """Everything the synthetic-feeder generator needs, YAML-friendly."""
+    """The generator's settings, YAML-friendly; demand shape and battery
+    are the module's constants."""
 
     latitude: float = 47.5
     longitude: float = 7.5
@@ -97,17 +107,11 @@ class ScenarioSpec:
     start_epoch: int = 1685577600  # 2023-06-01T00:00:00Z
     days: int = 3
     period_s: int = 10
-    demand_base_kw: float = 6.0
-    demand_step_s: int = 1800
     inrush_per_day: float = 6.0
-    inrush_kw: float = 4.0
-    inrush_duration_s: int = 120
     cycle_kw: float = 0.0  # thermostat-style on/off load, 0 = absent
     cycle_period_s: int = 240
     noise_kw: float = 0.05
     self_consumption: bool = False
-    battery_kva: float = 12.0
-    battery_kwh: float = 26.4
     cloud_kinds: Optional[tuple] = None  # per-day override of the mix
     seed: int = 0
 
@@ -120,8 +124,10 @@ class ScenarioSpec:
                 raise ValueError(f"unknown cloud kinds: {sorted(bad)}")
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if self.period_s <= 0 or SECONDS_PER_DAY % self.period_s:
-            raise ValueError("period_s must divide one day")
+        if self.period_s <= 0 or _DEMAND_STEP_S % self.period_s:
+            # the step divides a day, so the grid holds whole days
+            raise ValueError(f"period_s must divide the {_DEMAND_STEP_S} s "
+                             "demand step")
         last = self.start_epoch + self.days * SECONDS_PER_DAY - self.period_s
         if self.start_epoch < _EPOCH_1950 or last >= _EPOCH_2101:
             raise ValueError(
@@ -130,15 +136,12 @@ class ScenarioSpec:
                 f"{_EPOCH_1950} to {_EPOCH_2101 - 1})")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.demand_step_s % self.period_s:
-            raise ValueError("demand_step_s must be a multiple of period_s")
         if not self.plant:
             raise ValueError("plant must list at least one plane")
         for seg in self.plant:
             if seg["kwp"] < 0:
                 raise ValueError("plant kwp must be nonnegative")
-        for name in ("demand_base_kw", "inrush_per_day", "inrush_kw",
-                     "cycle_kw", "noise_kw", "battery_kva", "battery_kwh"):
+        for name in ("inrush_per_day", "cycle_kw", "noise_kw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.cycle_kw > 0 and (self.cycle_period_s // 2) % self.period_s:
@@ -257,15 +260,15 @@ def _cloud_series(rng: np.random.Generator, days: int, spd: int,
 
 def _demand_series(rng: np.random.Generator, spec: ScenarioSpec,
                    n: int) -> np.ndarray:
-    step = spec.demand_step_s // spec.period_s
+    step = _DEMAND_STEP_S // spec.period_s
     n_steps = -(-n // step)
-    levels = spec.demand_base_kw * (0.5 + rng.random(n_steps))
+    levels = _DEMAND_BASE_KW * (0.5 + rng.random(n_steps))
     l = np.repeat(levels, step)[:n]
     n_events = rng.poisson(spec.inrush_per_day * spec.days)
-    dur = max(1, round(spec.inrush_duration_s / spec.period_s))
+    dur = max(1, round(_INRUSH_S / spec.period_s))
     for _ in range(n_events):
         k0 = int(rng.integers(0, max(1, n - dur)))
-        l[k0:k0 + dur] += spec.inrush_kw
+        l[k0:k0 + dur] += _INRUSH_KW
     if spec.cycle_kw > 0:
         # strict on/off duty cycling (thermostatic limit cycle): a square
         # wave with a seeded phase, half the time on at cycle_kw
@@ -289,22 +292,21 @@ def _battery_series(spec: ScenarioSpec, g: np.ndarray,
     if not spec.self_consumption:
         return batt
     act = _ACTUATION_S // spec.period_s
-    soc = spec.battery_kwh / 2.0
+    soc = _BATTERY_KWH / 2.0
     for k0 in range(0, n, act):
         k1 = min(k0 + act, n)
         dt_h = (k1 - k0) * spec.period_s / 3600.0
-        b = float(np.clip(g[k0] - l[k0], -spec.battery_kva,
-                          spec.battery_kva))
+        b = float(np.clip(g[k0] - l[k0], -_BATTERY_KVA, _BATTERY_KVA))
         if b > 0:
-            b = min(b, (spec.battery_kwh - soc) / dt_h)
+            b = min(b, (_BATTERY_KWH - soc) / dt_h)
         else:
             b = max(b, -soc / dt_h)
         batt[k0:k1] = b
         soc += b * dt_h
-        if not -1e-9 <= soc <= spec.battery_kwh + 1e-9:
+        if not -1e-9 <= soc <= _BATTERY_KWH + 1e-9:
             raise AssertionError(
                 f"battery state of charge {soc} kWh outside "
-                f"[0, {spec.battery_kwh}]")
+                f"[0, {_BATTERY_KWH}]")
     return batt
 
 
@@ -390,22 +392,22 @@ class SweepResult:
     def grid_points(self) -> list:
         return list(self._groups())
 
-    def fold_stats(self, metric: str = "nrmse") -> list:
-        """Per grid point: spread of the metric over its folds."""
+    def fold_stats(self) -> list:
+        """Per grid point: spread of nRMSE over its folds."""
         return [{"method": key[0], "resolution": key[1],
                  "params": dict(key[2]), "folds": len(rows),
-                 **aggregate_stats([getattr(r, metric) for r in rows])}
+                 **aggregate_stats([r.nrmse for r in rows])}
                 for key, rows in self._groups().items()]
 
-    def fold_means(self, metric: str = "nrmse") -> list:
+    def fold_means(self) -> list:
         return [{"method": key[0], "resolution": key[1],
                  "params": dict(key[2]),
-                 metric: float(np.mean([getattr(r, metric) for r in rows]))}
+                 "nrmse": float(np.mean([r.nrmse for r in rows]))}
                 for key, rows in self._groups().items()]
 
-    def summary(self, metric: str = "nrmse") -> dict:
-        """Spread of the per-grid-point fold means across the whole grid."""
-        return aggregate_stats([g[metric] for g in self.fold_means(metric)])
+    def summary(self) -> dict:
+        """Spread of the per-grid-point mean nRMSE across the whole grid."""
+        return aggregate_stats([g["nrmse"] for g in self.fold_means()])
 
 
 def _day_index(days: Sequence[int], spd: int) -> np.ndarray:
@@ -470,7 +472,7 @@ def check_fractions(fractions: Sequence[float]) -> None:
 
 def penetration_experiment(data: ScenarioData,
                            methods: Sequence[MethodParams],
-                           fractions: Sequence[float] = (1.0, 0.5, 0.25),
+                           fractions: Sequence[float] = DEFAULT_FRACTIONS,
                            fold_seed: int = 0,
                            resolution: Optional[int] = None) -> list:
     """Re-score every method as the plant shrinks to a fraction of itself.

@@ -122,12 +122,8 @@ class MethodParams:
     def to_dict(self) -> dict:
         out = {"method": self.method,
                "sampling_period": self.sampling_period}
-        if self.method == "B":
-            out["lam"] = self.lam
-        if self.method == "C":
-            out["c"] = int(self.c)
-        if self.method == "D":
-            out.update(f_low=self.f_low, f_high=self.f_high)
+        for name in _OWN_PARAMS[self.method]:
+            out[name] = int(self.c) if name == "c" else getattr(self, name)
         return out
 
 
@@ -231,9 +227,9 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand,
     k, j = len(p), bank.n_planes
     if k < j + 1:
         raise ValueError("not enough usable samples for the fit")
-    m = bank.irradiance.T * KW_PER_WM2  # (k, j)
-    scale = _column_scales(m)
-    c_s = m / scale
+    c_s = bank.irradiance.T * KW_PER_WM2  # (k, j), scaled in place
+    scale = _column_scales(c_s)
+    c_s /= scale
 
     def evaluate(a):
         y = p.values + c_s @ a
@@ -253,7 +249,7 @@ def _fit_envelope(p: TimeSeries, bank: PlaneBank, demand,
         hess = w.T @ w
         report.dual_residual = float(
             np.max(np.abs(a - np.clip(a - grad, 0.0, None)))
-            / (1.0 + np.max(np.abs(c_s).T @ np.abs(r))))
+            / (1.0 + np.max(c_s.T @ np.abs(r))))
         if report.dual_residual <= _ENVELOPE_TOL:
             report.status, report.converged = "solved", True
             break

@@ -52,7 +52,6 @@ import numpy as np
 from .errors import SolverError
 
 _LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
-_LP_FEAS_TOL = 1e-7    # HiGHS primal and dual feasibility tolerances
 _LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
 _BISQUARE_TUNING = 4.685  # residual scales; 95% efficient (Holland-Welsch)
 _IRLS_TOL = 1e-8       # relative coefficient step that stops irls_bisquare
@@ -144,9 +143,7 @@ def solve_lp(dp: np.ndarray, dm: np.ndarray):
     c_mat = dm / scale
     res = linprog(-dp, A_ub=-c_mat.T, b_ub=np.zeros(dm.shape[1]),
                   bounds=(-1.0, 1.0), method="highs",
-                  options={"presolve": False, "maxiter": _LP_MAX_ITER,
-                           "primal_feasibility_tolerance": _LP_FEAS_TOL,
-                           "dual_feasibility_tolerance": _LP_FEAS_TOL})
+                  options={"presolve": False, "maxiter": _LP_MAX_ITER})
     if res.x is None:
         u, a = np.zeros(dp.size), np.zeros(dm.shape[1])
     else:

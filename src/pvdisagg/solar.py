@@ -370,16 +370,18 @@ def site_from_config(cfg: dict):
     {tilt, azimuth}; omitted = the default 21-plane set), beta, gamma, t_ref.
     Returns (SiteConfig, planes, TemperatureModel); any other key raises.
     """
-    def number(key, default=None, entry=cfg):
-        return config_number(entry.get(key, default), key)
+    def number(key, entry=cfg):
+        return config_number(entry.get(key), key)
+
+    def given(*keys):  # the keys the YAML sets; the rest keep their defaults
+        return {key: number(key) for key in keys if key in cfg}
 
     config_keys(cfg, ("latitude", "longitude", "altitude", "albedo",
                       "planes", "beta", "gamma", "t_ref"), "site")
 
     site = SiteConfig(latitude=number("latitude"),
                       longitude=number("longitude"),
-                      albedo=number("albedo", 0.2),
-                      altitude=number("altitude", 0.0))
+                      **given("altitude", "albedo"))
     if "planes" in cfg and cfg["planes"] is not None:
         entries = config_mappings(cfg["planes"], "planes")
         if not entries:  # refused here, before any series is read
@@ -390,7 +392,5 @@ def site_from_config(cfg: dict):
                               number("azimuth", entry=p)) for p in entries]
     else:
         planes = default_bank()
-    model = TemperatureModel(beta=number("beta", 3.78e-2),
-                             gamma=number("gamma", -4.3e-3),
-                             t_ref=number("t_ref", 25.0))
+    model = TemperatureModel(**given("beta", "gamma", "t_ref"))
     return site, planes, model

@@ -797,6 +797,17 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
      2, "start_epoch: the 3-day grid"),
     ("synth", {"days": 3, "period_s": 300, "seed": -1},
      2, "seed must be >= 0, got -1"),
+    # the demand shape and the battery are the simulator's own constants
+    ("synth", {"days": 3, "period_s": 300, "demand_base_kw": 6.0,
+               "demand_step_s": 1800, "inrush_kw": 4.0,
+               "inrush_duration_s": 120, "battery_kva": 12.0,
+               "battery_kwh": 26.4},
+     2, "unknown scenario keys: ['battery_kva', 'battery_kwh', "
+        "'demand_base_kw', 'demand_step_s', 'inrush_duration_s', "
+        "'inrush_kw']"),
+    ("synth", {"days": 3, "period_s": 3600},  # divides a day, not the step
+     2, "period_s must divide the 1800 s demand step"),
+    ("transpose", {"longitude": 7.5}, 2, "latitude: expected a number"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):

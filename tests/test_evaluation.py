@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pvdisagg.errors import InputError
-from pvdisagg.evaluation import (ScenarioSpec, SweepResult, SweepRow,
-                                 _telegraph, aggregate_stats, compute_metrics,
+from pvdisagg.evaluation import (_BATTERY_KVA, _BATTERY_KWH, ScenarioSpec,
+                                 SweepResult, SweepRow, _telegraph,
+                                 aggregate_stats, compute_metrics,
                                  generate_scenario, penetration_experiment,
                                  run_cv)
 from pvdisagg.methods import MethodParams
@@ -79,14 +80,11 @@ def test_aggregate_stats_rejects_empty():
 
 @pytest.mark.parametrize("changes", [
     {"days": 0},
-    {"period_s": 7},                       # does not divide one day
+    {"period_s": 7},                       # does not divide the step
     {"period_s": 0},
-    {"demand_step_s": 1805},               # not a multiple of period_s
     {"plant": ()},
     {"plant": ({"tilt": 30.0, "azimuth": 180.0, "kwp": -1.0},)},
     {"noise_kw": -0.1},
-    {"inrush_kw": -1.0},
-    {"battery_kwh": -5.0},
     {"cloud_kinds": ("clear", "clear")},   # one short for three days
     {"cloud_kinds": ("clear", "foggy", "clear")},
     {"cycle_kw": 2.0, "cycle_period_s": 250},  # half-cycle not on the grid
@@ -230,15 +228,15 @@ def test_generator_battery_respects_rating_and_capacity():
                         cloud_kinds=("clear", "clear", "clear"))
     data = generate_scenario(spec)
     b = data.battery.values
-    assert float(np.max(np.abs(b))) <= spec.battery_kva + 1e-12
+    assert float(np.max(np.abs(b))) <= _BATTERY_KVA + 1e-12
     # setpoints hold for whole 300 s actuation windows
     per_window = b.reshape(-1, 300 // 60)
     assert float(np.max(np.ptp(per_window, axis=1))) == 0.0
     # replayed state of charge stays inside the pack
     dt_h = 60 / 3600.0
-    soc = spec.battery_kwh / 2.0 + np.cumsum(b) * dt_h
+    soc = _BATTERY_KWH / 2.0 + np.cumsum(b) * dt_h
     assert float(soc.min()) >= -1e-9
-    assert float(soc.max()) <= spec.battery_kwh + 1e-9
+    assert float(soc.max()) <= _BATTERY_KWH + 1e-9
     # the dispatch is self-consumption: charge only on PV surplus,
     # discharge only under deficit (setpoint chosen at window starts)
     surplus = (data.g_true.values - data.l_true.values)[::300 // 60]
