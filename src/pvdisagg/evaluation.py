@@ -144,10 +144,12 @@ class ScenarioSpec:
         for name in ("inrush_per_day", "cycle_kw", "noise_kw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.cycle_kw > 0 and (self.cycle_period_s // 2) % self.period_s:
+        half = self.cycle_period_s // 2
+        if self.cycle_kw > 0 and (half < self.period_s
+                                  or half % self.period_s):
             raise ValueError(
-                "cycle_period_s must give a half-cycle that is a multiple "
-                "of period_s")
+                "cycle_period_s must give a half-cycle of one or more whole "
+                f"period_s, got {self.cycle_period_s}")
         if self.self_consumption and _ACTUATION_S % self.period_s:
             raise ValueError(f"period_s must divide the {_ACTUATION_S} s "
                              "storage actuation window")

@@ -28,7 +28,6 @@ one segment); nothing they fit crosses a segment start.  fit sets them.
 
 from __future__ import annotations
 
-import importlib
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -178,12 +177,12 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
 
     Difference pairs never straddle a segment start, and with a mask
     only pairs whose both endpoints are kept contribute.  optim.solve_lp
-    solves the fit through its dual LP  max dP'u  s.t. |u| <= 1, C'u >= 0
-    (C the column-scaled differenced bank), whose one row per plane
-    carries the capacities as its multipliers, and certifies the answer
-    by that LP's duality gap at the returned alpha.  The dual is feasible
-    at u = 0 and bounded by the box, so no input makes it infeasible or
-    unbounded; a HiGHS run that stops short returns converged=False.
+    solves the fit by a simplex over its vertices and certifies the
+    answer by the duality gap of its dual LP  max dP'u  s.t. |u| <= 1,
+    C'u >= 0  (C the column-scaled differenced bank) at the returned
+    alpha.  The dual is feasible at u = 0 and bounded by the box, so no
+    input makes it infeasible or unbounded; a fit that reaches the
+    solver's pivot cap returns converged=False.
     """
     _check_bank(p, bank)
     k, j = len(p), bank.n_planes
@@ -197,8 +196,10 @@ def fit_method_a(p: TimeSeries, bank: PlaneBank, *,
         raise ValueError("no usable sample-to-sample difference pairs")
 
     dp = p.values[pairs] - p.values[pairs - 1]
-    dm = (bank.irradiance[:, pairs] - bank.irradiance[:, pairs - 1]).T
-    alpha, report = solve_lp(dp, dm * KW_PER_WM2)
+    dm = bank.irradiance[:, pairs].T  # built in place: one more copy at most
+    dm -= bank.irradiance[:, pairs - 1].T
+    dm *= KW_PER_WM2
+    alpha, report = solve_lp(dp, dm)
     return CapacityVector(alpha, bank.geometry_hash, report)
 
 
@@ -418,10 +419,6 @@ def fit(p: TimeSeries, bank: PlaneBank, params: MethodParams, *,
     if not np.any(bank.irradiance):
         raise InputError("the plane bank is zero on every sample (is GHI "
                          "all zero?): no irradiance identifies a capacity")
-    # A's LP imports scipy.optimize when first called; loading it here
-    # keeps the reported seconds the fit alone (B, C and D load no scipy)
-    if params.method == "A":
-        importlib.import_module("scipy.optimize")
     t0 = time.perf_counter()
     starts = _segment_starts(p, segment_length)
     l_hat = None

@@ -10,9 +10,9 @@ Every solver here is exact up to rounding on the sizes it is given:
   solve_l1_trend_qp  the prox of a total-variation penalty on each segment
                      by Condat's direct algorithm, clipped at zero;
   solve_lp           method A's L1 fit on differences, min_{a >= 0}
-                     sum |dp + dm a|, through its dual LP in HiGHS
-                     (scipy.optimize.linprog) without presolve, certified
-                     by the duality gap of that one problem;
+                     sum |dp + dm a|, by a Barrodale-Roberts simplex over
+                     the fit's vertices, certified by the duality gap of
+                     its dual LP;
   irls_bisquare      majorize-minimize robust regression, one active set
                      on the J x J weighted Gram per step, started from
                      the previous step's coefficients.
@@ -22,25 +22,12 @@ numpy: B's and C's Newton steps start it from their current
 capacities and D's reweighting steps from the last coefficients, so
 most solves need one or a few passive-set solves of at most 21 x 21.
 
-solve_lp is the only scipy user: it imports scipy.optimize inside the
-function, so importing the package, and every CLI command but a fit or
-sweep that runs method A, loads no scipy module.  ``methods.fit`` loads
-scipy.optimize, which pulls in scipy.linalg and scipy.sparse, before it
-starts its clock when it fits A, so a fit's reported time stays the fit
-alone.
+Every solver is numpy only, so no command loads scipy.
 
 A's dual LP  max dp'u  s.t. |u| <= 1, C'u >= 0  has no infeasible or
 unbounded outcome: u = 0 satisfies every constraint and the box bounds
-the objective.  The only failure left is HiGHS stopping short (iteration
-limit, numerical trouble), which solve_lp reports as converged=False.
-
-HiGHS presolve is off in solve_lp.  A's dual LP has 21 rows over one
-box-bounded column per difference pair, and on that shape presolve took
-about as long as the simplex itself: the LP of a one-day fold at 30 s
-took a median of 44 ms with presolve and 22 ms without, and the 14-day
-LP at 10 s 2.2 s and 1.1 s (one process with one BLAS thread on a 2-core
-x86 machine).  The duality-gap certificate checks every answer either
-way.
+the objective.  The only failure left is solve_lp's pivot cap, which it
+reports as converged=False.
 """
 
 from __future__ import annotations
@@ -52,7 +39,9 @@ import numpy as np
 from .errors import SolverError
 
 _LP_GAP_TOL = 1e-6     # relative duality-gap certificate of solve_lp
-_LP_MAX_ITER = 50000   # HiGHS simplex iteration limit
+_LP_DUAL_TOL = 1e-11   # relative dual infeasibility solve_lp stops at
+_LP_SHIFT = 1e-11      # relative shift of dp that breaks solve_lp's ties
+_LP_PIVOTS_PER_COLUMN = 20  # cap of solve_lp's pivots, per column of dm
 _BISQUARE_TUNING = 4.685  # residual scales; 95% efficient (Holland-Welsch)
 _IRLS_TOL = 1e-8       # relative coefficient step that stops irls_bisquare
 _IRLS_MAX_ITER = 50    # reweighting steps of irls_bisquare
@@ -124,43 +113,117 @@ def solve_lp(dp: np.ndarray, dm: np.ndarray):
     """Method A's L1 fit  min_{a >= 0} sum_k |dp_k + (dm a)_k|; returns
     (a, SolverReport).
 
-    Solved through its dual  max dp'u  s.t. |u| <= 1, C'u >= 0, with C
-    the columns of dm scaled to at most 1: one row per column of dm and
-    one box-bounded variable per difference.  The rows' multipliers are
-    the scaled capacities: linprog takes the rows as -C'u <= 0 under the
-    minimized -dp'u and returns d objective / d rhs, so a is minus those
-    multipliers over the column scales, clipped at zero.
+    A primal simplex over the fit's vertices, as Barrodale and Roberts
+    (SIAM J. Numer. Anal. 10(5), 1973) solve L1 regression, here with
+    a >= 0 and on C, the columns of dm scaled to at most 1.  A vertex is
+    fixed by a basis of J tight constraints, each a zero residual (a row
+    of C) or a zero capacity (a bound); the first is a = 0, all bounds.
+    Every residual off the basis has a side, the sign it has or, at
+    zero, the one it had last.  The basis gives the dual point u: the
+    side off the basis, and on it the multipliers that make C'u zero at
+    every capacity off its bound.  u is optimal when those lie in
+    [-1, 1] and C'u >= 0 at the bounds, up to _LP_DUAL_TOL of the terms
+    they sum.  Otherwise the entry with the steepest descent per unit
+    step leaves, and the step goes to the minimum of the convex,
+    piecewise-linear objective along its edge: past every residual whose
+    crossing the descent still pays for (they change sides), to the one
+    that stops it, or to the first capacity that reaches zero, which
+    enters instead.  The pivots run on dp shifted by at most 1.5 *
+    _LP_SHIFT of its largest entry, a fixed pattern that no two rows
+    share, so ties (more zero residuals than J at a vertex) cannot make
+    them cycle; the answer is the final basis's vertex for dp itself,
+    whose u is the same.
 
     The report certifies a itself: objective is sum |dp + dm a|,
     duality_gap is that minus dp'u (never negative for a feasible u, by
-    weak duality), primal_residual is u's worst violation of the box and
-    of C'u >= 0, and converged needs a HiGHS optimum and a gap of at most
-    _LP_GAP_TOL * (1 + objective).  Every other HiGHS status returns
-    converged=False, with u = 0 and a = 0 when HiGHS has no point.
+    weak duality), primal_residual is u's worst violation of C'u >= 0
+    (|u| <= 1 by construction), iterations counts pivots, and converged
+    needs an optimal basis and a gap of at most
+    _LP_GAP_TOL * (1 + objective).  After _LP_PIVOTS_PER_COLUMN * J
+    pivots the status is "max_iter", and an edge with no minimum (only
+    rounding makes one) ends as "numerical"; both return the last
+    vertex with converged=False.
     """
-    from scipy.optimize import linprog
+    n, j = dm.shape
     scale = _column_scales(dm)
-    c_mat = dm / scale
-    res = linprog(-dp, A_ub=-c_mat.T, b_ub=np.zeros(dm.shape[1]),
-                  bounds=(-1.0, 1.0), method="highs",
-                  options={"presolve": False, "maxiter": _LP_MAX_ITER})
-    if res.x is None:
-        u, a = np.zeros(dp.size), np.zeros(dm.shape[1])
-    else:
-        u = np.asarray(res.x, dtype=float)
-        a = np.clip(-res.ineqlin.marginals / scale, 0.0, None)
+    size = np.abs(dm).sum(axis=0) / scale  # the terms C'u sums
+    golden = (np.sqrt(5.0) - 1.0) / 2.0
+    cost = dp + _LP_SHIFT * (np.max(np.abs(dp), initial=0.0) or 1.0) * (
+        0.5 + np.arange(n) * golden % 1.0)
+    basis = -1 - np.arange(j)  # row k >= 0, or -1 - j for a's bound j
+    on_basis = np.zeros(n, dtype=bool)
+    side = np.where(cost < 0.0, -1.0, 1.0)
+    status = "max_iter"
+    for pivots in range(_LP_PIVOTS_PER_COLUMN * j + 1):
+        rows = basis >= 0
+        bounds = -1 - basis[~rows]
+        tight = np.zeros((j, j))
+        tight[rows] = dm[basis[rows]] / scale
+        tight[~rows, bounds] = 1.0
+        inv = np.linalg.inv(tight)  # column i: the edge that frees entry i
+        x = inv[:, rows] @ -cost[basis[rows]]
+        x[bounds] = 0.0
+        u = np.where(on_basis, 0.0, side)
+        grad = (u @ dm) / scale
+        y = -(grad @ inv)  # u on the basis rows, -C'u at the bounds
+        # the objective's slope along each edge, and the terms it sums
+        rate = np.where(rows, 1.0 - np.abs(y), -y)
+        terms = 1.0 + np.abs(y)
+        terms[~rows] = 1.0 + size[bounds]
+        if np.all(rate >= -_LP_DUAL_TOL * terms):
+            status = "solved"
+            break
+        if pivots == _LP_PIVOTS_PER_COLUMN * j:
+            break
+        i = int(np.argmin(np.where(rate < -_LP_DUAL_TOL * terms, rate, 0.0)
+                          / np.linalg.norm(inv, axis=0)))
+        sigma = np.sign(y[i]) if rows[i] else 1.0
+        d = sigma * inv[:, i]
+        q = dm @ (d / scale)
+        tiny = j * _EPS * np.abs(d).sum()
+        ahead = np.flatnonzero(~on_basis & (side * q < -tiny))
+        r = cost + dm @ (x / scale)
+        t = np.maximum(-r[ahead] / q[ahead], 0.0)
+        # the first crossing that the descent rate no longer pays for
+        order = np.argsort(t)
+        pos = int(np.searchsorted(np.cumsum(2.0 * np.abs(q[ahead])[order]),
+                                  -float(grad @ d) - float(rows[i])))
+        t_row = t[order[pos]] if pos < order.size else np.inf
+        shrink = d < -tiny
+        shrink[bounds] = False
+        ratio = np.full(j, np.inf)
+        ratio[shrink] = np.maximum(x[shrink], 0.0) / -d[shrink]
+        t_bound = ratio.min()
+        if t_row == t_bound == np.inf:
+            status = "numerical"
+            break
+        if t_bound <= t_row:
+            pos = min(pos, int(np.searchsorted(t[order], t_bound, "right")))
+        side[ahead[order[:pos]]] *= -1.0
+        if rows[i]:
+            on_basis[basis[i]] = False
+            side[basis[i]] = sigma
+        if t_bound <= t_row:
+            basis[i] = -1 - np.argmin(ratio)
+        else:
+            basis[i] = ahead[order[pos]]
+            on_basis[basis[i]] = True
+    # every exit leaves the loop before a pivot: rows, bounds, inv, u and y
+    # are the final basis's
+    x = inv[:, rows] @ -dp[basis[rows]]
+    x[bounds] = 0.0
+    a = np.clip(x, 0.0, None) / scale
+    u[basis[rows]] = np.clip(y[rows], -1.0, 1.0)
     objective = float(np.sum(np.abs(dp + dm @ a)))
     report = SolverReport(
-        objective=objective, iterations=int(res.nit),
-        primal_residual=max(float(np.max(np.abs(u))) - 1.0,
-                            float(np.max(-(u @ c_mat))), 0.0),
+        objective=objective, iterations=pivots,
+        primal_residual=max(float(np.max(-(u @ dm) / scale)), 0.0),
         dual_residual=0.0,  # a >= 0 by the clip
-        duality_gap=objective - float(dp @ u),
-        status={0: "solved", 1: "max_iter"}.get(res.status, "numerical"),
-        notes={"engine": "highs"})
-    report.converged = bool(res.status == 0) and (
+        duality_gap=objective - float(dp @ u), status=status,
+        notes={"engine": "l1_simplex"})
+    report.converged = status == "solved" and (
         abs(report.duality_gap) <= _LP_GAP_TOL * (1.0 + objective))
-    if res.status != 0:
+    if status != "solved":
         report.notes["no_convergence"] = True
     if not dp.any():
         report.notes["degenerate_cost"] = True

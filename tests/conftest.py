@@ -2,8 +2,7 @@
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import linprog  # bound here, so a monkeypatch misses it
+from scipy.optimize import linprog
 
 from pvdisagg.evaluation import ScenarioSpec, generate_scenario
 from pvdisagg.solar import SiteConfig
@@ -42,24 +41,6 @@ def make_series(values, period=10, start=START, unit=UNIT_KW):
 @pytest.fixture
 def series_factory():
     return make_series
-
-
-def highs_stops_short(monkeypatch, with_point: bool):
-    """Make linprog return HiGHS's answer under a non-optimal status: the
-    iteration limit with its last point, or numerical trouble with no
-    point at all."""
-    real_linprog = scipy.optimize.linprog
-
-    def stopped(*args, **kw):
-        res = real_linprog(*args, **kw)
-        if with_point:
-            res.status, res.success = 1, False
-        else:
-            res.status, res.success, res.x = 4, False, None
-            res.ineqlin.marginals = None
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", stopped)
 
 
 def l1_oracle(dp, dm):

@@ -13,13 +13,13 @@ import pytest
 import yaml
 
 import pvdisagg
-from pvdisagg import cli, evaluation
+from pvdisagg import cli, evaluation, optim
 from pvdisagg.cli import build_parser, main
 from pvdisagg.evaluation import ScenarioSpec
 from pvdisagg.timeseries import (UNIT_CELSIUS, UNIT_W_PER_M2,
                                  write_csv)
 
-from conftest import highs_stops_short, make_series
+from conftest import make_series
 
 SCENARIO = {"days": 3, "period_s": 60, "noise_kw": 0.02, "seed": 17,
             "inrush_per_day": 2.0,
@@ -430,14 +430,12 @@ def test_fit_names_a_band_the_filter_cannot_settle(pipeline, tmp_path,
     assert not model.exists()
 
 
-@pytest.mark.parametrize("with_point", [True, False],
-                         ids=["iteration-limit", "no-point"])
-def test_fit_a_exits_3_when_highs_stops_short(pipeline, tmp_path, capsys,
-                                              monkeypatch, with_point):
-    """A's dual LP is never infeasible or unbounded, so a HiGHS run that
-    stops short is the only failure: the report says converged=False and
-    the fit exits 3."""
-    highs_stops_short(monkeypatch, with_point)
+def test_fit_a_exits_3_at_the_pivot_cap(pipeline, tmp_path, capsys,
+                                        monkeypatch):
+    """A's dual LP is never infeasible or unbounded, so the pivot cap is
+    the only way A's fit fails: capped at one pivot per plane, the
+    report says converged=False and the fit exits 3."""
+    monkeypatch.setattr(optim, "_LP_PIVOTS_PER_COLUMN", 1)
     data = pipeline["data"]
     report = tmp_path / "report.json"
     code = main(["fit", "--site", str(pipeline["site"]),
@@ -450,7 +448,8 @@ def test_fit_a_exits_3_when_highs_stops_short(pipeline, tmp_path, capsys,
     assert "NOT converged" in capsys.readouterr().out
     doc = json.loads(report.read_text())
     assert doc["converged"] is False
-    assert doc["status"] == ("max_iter" if with_point else "numerical")
+    planes = len(yaml.safe_load(pipeline["site"].read_text())["planes"])
+    assert doc["status"] == "max_iter" and doc["iterations"] == planes
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +807,13 @@ def test_sweep_rejects_unknown_method_key(tmp_path, capsys):
     ("synth", {"days": 3, "period_s": 3600},  # divides a day, not the step
      2, "period_s must divide the 1800 s demand step"),
     ("transpose", {"longitude": 7.5}, 2, "latitude: expected a number"),
+    # a cycling load needs a half-cycle of at least one sample
+    ("synth", {"days": 3, "period_s": 300, "cycle_kw": 2.0,
+               "cycle_period_s": 0}, 2, "cycle_period_s must give"),
+    ("synth", {"days": 3, "period_s": 300, "cycle_kw": 2.0,
+               "cycle_period_s": 1}, 2, "cycle_period_s must give"),
+    ("synth", {"days": 3, "period_s": 300, "cycle_kw": 2.0,
+               "cycle_period_s": -600}, 2, "cycle_period_s must give"),
 ])
 def test_config_values_of_the_wrong_type(tmp_path, capsys, command, config,
                                          code, message):
@@ -878,14 +884,17 @@ print(json.dumps(seen))
 
 
 def test_only_fit_loads_scipy(pipeline, tmp_path):
-    """transpose, disaggregate and metrics, and fits by B, C and D, run
-    without scipy's solver modules, one after another in one process:
-    their solvers and the band-pass filter are numpy only.  A fit by A,
-    run last, loads scipy.optimize for its LP; the package needs only
-    numpy."""
+    """No command loads scipy's solver modules.  transpose, disaggregate
+    and metrics, fits by B, C, D and A, and a sweep of A run one after
+    another in one process: every solver and the band-pass filter are
+    numpy only, and the package needs only numpy."""
     data, site = pipeline["data"], str(pipeline["site"])
     series = [f"--ghi={data / 'ghi.csv'}", f"--t-air={data / 't_air.csv'}"]
     fit = ["fit", "--site", site, *series, f"--p={data / 'p.csv'}"]
+    sweep = tmp_path / "sweep.yaml"
+    sweep.write_text(yaml.safe_dump({
+        "scenario": {"days": 3, "period_s": 300},
+        "methods": [{"method": "A"}], "resolutions_s": [900]}))
     runs = [
         ("transpose", ["transpose", "--site", site, *series,
                        "--out", str(tmp_path / "b")]),
@@ -903,6 +912,8 @@ def test_only_fit_loads_scipy(pipeline, tmp_path):
                    "--f-high-s", "600", "--out-model", str(tmp_path / "md")]),
         ("fit A", [*fit, "--method", "A",
                    "--out-model", str(tmp_path / "ma")]),
+        ("sweep A", ["sweep", "--config", str(sweep),
+                     "--out-dir", str(tmp_path / "s")]),
     ]
     src = str(Path(pvdisagg.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -912,16 +923,14 @@ def test_only_fit_loads_scipy(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen.pop("import pvdisagg") == ["numpy", "pvdisagg"]
-    assert seen.pop("fit A") == ["scipy.optimize", "scipy.linalg",
-                                 "scipy.sparse"]
     assert seen == {"import pvdisagg.cli": [], "transpose": [],
                     "disaggregate": [], "metrics": [], "fit B": [],
-                    "fit C": [], "fit D": []}
+                    "fit C": [], "fit D": [], "fit A": [], "sweep A": []}
 
 
 @pytest.mark.parametrize("method, flags", [
-    ("B", ["--lam", "1"]), ("D", ["--f-low-s", "7200", "--f-high-s", "600"])],
-    ids=["B", "D"])
+    ("B", ["--lam", "1"]), ("D", ["--f-low-s", "7200", "--f-high-s", "600"]),
+    ("A", [])], ids=["B", "D", "A"])
 def test_fit_is_the_same_under_python_O(pipeline, tmp_path, method, flags):
     """python -O strips assert statements; every check a fit relies on
     raises instead, so the fit exits 0 with the same capacities."""

@@ -24,10 +24,8 @@ since ``python -O`` strips them, and an invariant must hold under it
 imports ``scipy.signal``, by statement or ``import_module``, since
 loading it pulls in ``scipy.stats`` and costs more time and memory than
 every fit of a sweep, while the band-pass filter needs numpy only; and
-the package imports scipy in two places only, both for method A's LP:
-``optim.solve_lp`` imports ``linprog``, and ``methods.fit`` loads
-``scipy.optimize`` before its clock when it fits A, so that B, C and D
-fits, and every other command, load no scipy module.
+the package imports no scipy module at all, since every solver is numpy
+only, so that no command loads scipy.
 """
 
 import ast
@@ -374,11 +372,8 @@ def test_no_scipy_signal_import(path):
     assert scipy_signal_imports(_tree(path)) == []
 
 
-def test_only_method_a_loads_scipy():
-    loads = {(path.name, owner, name) for path in MODULES
-             for owner, name, _ in scipy_imports(_tree(path))}
-    assert loads == {("optim.py", "solve_lp", "scipy.optimize.linprog"),
-                     ("methods.py", "fit", "scipy.optimize")}
+def test_no_scipy_import():
+    assert sum((scipy_imports(_tree(path)) for path in MODULES), []) == []
 
 
 def test_checks_catch_what_they_forbid():

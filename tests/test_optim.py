@@ -13,7 +13,7 @@ from pvdisagg.optim import (QuadraticProgram, _wls, irls_bisquare,
                             psd_check_and_regularize, solve_l1_trend_qp,
                             solve_lp, solve_qp)
 
-from conftest import highs_stops_short, l1_oracle
+from conftest import l1_oracle
 
 
 # --- method A's L1 fit (solve_lp) ------------------------------------------
@@ -71,27 +71,65 @@ def test_lp_duality_gap_certificate():
 
 
 def test_lp_iteration_cap_flags_instead_of_raising(monkeypatch):
-    highs_stops_short(monkeypatch, with_point=True)
+    """A fit that takes more than one pivot per column, capped at one: the
+    last vertex comes back, nonnegative and worse than the optimum, as
+    status max_iter with converged=False."""
     rng = np.random.default_rng(0)
     dm = rng.normal(size=(40, 3))
-    a, rep = solve_lp(rng.normal(size=40), dm)
+    dp = -dm @ np.array([1.0, 2.0, 3.0]) + rng.laplace(0.0, 0.5, 40)
+    _, full = solve_lp(dp, dm)
+    assert full.converged and full.iterations > 3
+    monkeypatch.setattr(optim, "_LP_PIVOTS_PER_COLUMN", 1)
+    a, rep = solve_lp(dp, dm)
     assert not rep.converged
-    assert rep.status == "max_iter"
+    assert rep.status == "max_iter" and rep.iterations == 3
     assert rep.notes.get("no_convergence") is True
     assert np.all(np.isfinite(a)) and np.all(a >= 0.0)
+    assert rep.objective > full.objective
 
 
-def test_lp_without_a_point_returns_zero_unconverged(monkeypatch):
-    highs_stops_short(monkeypatch, with_point=False)
-    rng = np.random.default_rng(0)
-    dp = rng.normal(size=40)
-    a, rep = solve_lp(dp, rng.normal(size=(40, 3)))
-    assert not rep.converged
-    assert rep.status == "numerical"
-    assert rep.notes.get("no_convergence") is True
-    assert np.array_equal(a, np.zeros(3))
-    # u = 0: the gap is the whole objective sum |dp|
-    assert rep.objective == rep.duality_gap == float(np.sum(np.abs(dp)))
+def _l1_instance(seed, j, extra, case):
+    """(dp, dm) of a random L1 fit with J + extra rows.  "ties" draws small
+    integers around an exact fit, so vertices carry more zero residuals
+    than J; "duplicate" copies column 0 into the last column;
+    "zero-column" zeroes one column; "zero-dp" sets dp to 0."""
+    rng = np.random.default_rng(seed)
+    k = j + extra
+    if case == "ties":
+        dm = rng.integers(-2, 3, size=(k, j)).astype(float)
+        dp = (-dm @ rng.integers(0, 3, size=j)
+              + rng.integers(-2, 3, size=k) * (rng.random(k) < 0.3))
+    else:
+        dm = rng.normal(size=(k, j)) * rng.uniform(0.01, 100.0, j)
+        dp = -dm @ rng.uniform(0.0, 2.0, j) + rng.laplace(0.0, 0.5, k)
+    if case == "duplicate":
+        dm[:, -1] = dm[:, 0]
+    elif case == "zero-column":
+        dm[:, rng.integers(j)] = 0.0
+    elif case == "zero-dp":
+        dp[:] = 0.0
+    return dp, dm
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 21),
+       extra=st.one_of(st.integers(1, 3), st.integers(4, 80)),
+       case=st.sampled_from(["plain", "ties", "duplicate", "zero-column",
+                             "zero-dp"]))
+def test_lp_matches_highs(seed, j, extra, case):
+    """solve_lp reaches the optimum that HiGHS finds for the primal
+    epigraph LP to 1e-9 of its size, on generic fits, ties, duplicate and
+    all-zero columns, an all-zero dp and K just above J, and its own
+    certificate holds: a feasible u within _LP_GAP_TOL of the objective."""
+    dp, dm = _l1_instance(seed, j, extra, case)
+    a, rep = solve_lp(dp, dm)
+    assert rep.converged and rep.status == "solved"
+    assert np.all(a >= 0.0)
+    assert rep.objective == float(np.sum(np.abs(dp + dm @ a)))
+    assert rep.primal_residual <= 1e-9
+    assert abs(rep.duality_gap) <= optim._LP_GAP_TOL * (1.0 + rep.objective)
+    best = l1_oracle(dp, dm)
+    assert abs(rep.objective - best) <= 1e-9 * (1.0 + best)
 
 
 # --- quadratic programs ----------------------------------------------------
