@@ -430,12 +430,20 @@ def test_fit_names_a_band_the_filter_cannot_settle(pipeline, tmp_path,
     assert not model.exists()
 
 
-def test_fit_a_exits_3_at_the_pivot_cap(pipeline, tmp_path, capsys,
-                                        monkeypatch):
-    """A's dual LP is never infeasible or unbounded, so the pivot cap is
-    the only way A's fit fails: capped at one pivot per plane, the
-    report says converged=False and the fit exits 3."""
-    monkeypatch.setattr(optim, "_LP_PIVOTS_PER_COLUMN", 1)
+@pytest.mark.parametrize("with_point", [True, False],
+                         ids=["iteration-limit", "no-point"])
+def test_fit_a_exits_3_when_highs_stops_short(pipeline, tmp_path, capsys,
+                                              monkeypatch, with_point):
+    """A's L1 fit is never infeasible or unbounded, so an LP that stops
+    short is the only failure.  iteration-limit caps solve_lp at one pivot
+    per plane (status max_iter); no-point sets its machine epsilon to 1,
+    so every crossing and capacity along the first edge falls within
+    rounding and the edge has no minimum (status numerical, no pivot).
+    Either way the report says converged=False and the fit exits 3."""
+    if with_point:
+        monkeypatch.setattr(optim, "_LP_PIVOTS_PER_COLUMN", 1)
+    else:
+        monkeypatch.setattr(optim, "_EPS", 1.0)
     data = pipeline["data"]
     report = tmp_path / "report.json"
     code = main(["fit", "--site", str(pipeline["site"]),
@@ -449,7 +457,8 @@ def test_fit_a_exits_3_at_the_pivot_cap(pipeline, tmp_path, capsys,
     doc = json.loads(report.read_text())
     assert doc["converged"] is False
     planes = len(yaml.safe_load(pipeline["site"].read_text())["planes"])
-    assert doc["status"] == "max_iter" and doc["iterations"] == planes
+    assert (doc["status"], doc["iterations"]) == (
+        ("max_iter", planes) if with_point else ("numerical", 0))
 
 
 # ---------------------------------------------------------------------------
