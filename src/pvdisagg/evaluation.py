@@ -315,9 +315,10 @@ def _battery_series(spec: ScenarioSpec, g: np.ndarray,
 def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     """Synthesize one feeder; returns signals plus the estimation bank.
 
-    The plant's generation is transposed onto its own plane geometry; the
-    returned bank holds the standard 21-plane candidate set computed from
-    the same GHI and air temperature, which is what the estimators see.
+    One solar chain (sun position, GHI split) runs for the plant's planes
+    and the standard 21 candidates; the returned bank, what the estimators
+    see, is a view of the candidates' rows, since a copy would hold the
+    bank twice.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -338,11 +339,10 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
     t_air = TimeSeries(spec.start_epoch, spec.period_s, t_air_v,
                        UNIT_CELSIUS)
 
-    plant_planes = [PlaneConfig(p["tilt"], p["azimuth"])
-                    for p in spec.plant]
-    plant_bank = build_bank(ghi, t_air, site, plant_planes)
+    plant = [PlaneConfig(p["tilt"], p["azimuth"]) for p in spec.plant]
+    both = build_bank(ghi, t_air, site, plant + default_bank())
     kwp = np.array([p["kwp"] for p in spec.plant])
-    g_v = (kwp @ plant_bank.irradiance) / 1000.0
+    g_v = (kwp @ both.irradiance[:len(plant)]) / 1000.0
     g_true = TimeSeries(spec.start_epoch, spec.period_s, g_v, UNIT_KW)
 
     l_v = _demand_series(rng, spec, n)
@@ -351,7 +351,8 @@ def generate_scenario(spec: ScenarioSpec) -> ScenarioData:
         else np.zeros(n)
     p_v = l_v + batt_v - g_v + noise
 
-    bank = build_bank(ghi, t_air, site, default_bank())
+    bank = PlaneBank(both.planes[len(plant):], both.irradiance[len(plant):],
+                     both.start_epoch, both.period)
     return ScenarioData(
         p=TimeSeries(spec.start_epoch, spec.period_s, p_v, UNIT_KW),
         ghi=ghi, t_air=t_air, g_true=g_true,

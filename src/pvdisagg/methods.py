@@ -370,16 +370,16 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
             out[rows] = dsp.apply_array(filt, series[rows])
         return out
 
-    # only the kept rows of the design are stored, one column at a time
+    # only the kept rows of the design are stored, one plane per row
     keep = np.arange(k) if mask is None else np.flatnonzero(mask)
     y = filtered(p.values)[keep]
-    x_mat = np.empty((keep.size, j))
+    x_rows = np.empty((j, keep.size))
     peak = 0.0  # largest |filtered irradiance| over every sample
     for jj in range(j):
         col = filtered(bank.irradiance[jj])
         peak = max(peak, col.max(), -col.min())
-        x_mat[:, jj] = col[keep]
-    x_mat *= -KW_PER_WM2
+        x_rows[jj] = col[keep]
+    x_rows *= -KW_PER_WM2
     # a band that excludes all bank energy leaves only filter ring-down in
     # the design matrix; regressing on that would return noise dressed up
     # as capacity, so refuse instead
@@ -390,7 +390,7 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
             "numerically zero); widen [f_low, f_high]")
     if keep.size < j + 1:
         raise ValueError("not enough usable samples for the fit")
-    alpha, report = irls_bisquare(x_mat, y)
+    alpha, report = irls_bisquare(x_rows.T, y)
     return CapacityVector(_clip_alpha(alpha), bank.geometry_hash, report)
 
 

@@ -482,15 +482,15 @@ def _wls(x_mat: np.ndarray, y: np.ndarray, w: np.ndarray, inv: np.ndarray,
     """argmin_{a >= 0} sum_k w_k (y_k - x_k (inv * a))^2 on the J x J Gram.
 
     inv scales the columns (irls_bisquare's scaling to at most 1) without
-    a scaled copy of X.  With G = D(X*w)'XD and b = D(X*w)'y, D = diag(inv),
-    the objective is a'Ga - 2a'b plus a constant, so the active set on
-    (G, b) from start has the minimizers of nnls on the tall
-    sqrt(w)-scaled rows at O(K J^2) BLAS work.  Returns (a, G, b); raises
-    SolverError unless the active set ends "solved".
+    a scaled copy of X.  With S the sqrt(w)-scaled rows, G = DS'SD (one
+    rank-k update) and b = DX'(w*y), D = diag(inv), the objective is
+    a'Ga - 2a'b plus a constant, so the active set on (G, b) from start has
+    the minimizers of nnls on S at O(K J^2) BLAS work.  Returns (a, G, b);
+    raises SolverError unless the active set ends "solved".
     """
-    xw = x_mat * w[:, None]
-    gram = (xw.T @ x_mat) * np.outer(inv, inv)
-    b = (xw.T @ y) * inv
+    xs = x_mat * np.sqrt(w)[:, None]
+    gram = (xs.T @ xs) * np.outer(inv, inv)
+    b = (x_mat.T @ (w * y)) * inv
     sol, solves, status = _active_set(gram, b, start,
                                       np.zeros(b.size, dtype=bool))
     if status != "solved":

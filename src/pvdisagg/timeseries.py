@@ -25,7 +25,7 @@ UNIT_CELSIUS = "celsius"
 _KNOWN_UNITS = (UNIT_KW, UNIT_W_PER_M2, UNIT_CELSIUS)
 
 SECONDS_PER_DAY = 86400
-_ROWS_PER_BLOCK = 4096  # rows whose time stamps write_table formats at once
+_ROWS_PER_BLOCK = 4096  # rows write_table formats and writes at once
 _MAX_MISSING_FRACTION = 0.05  # largest share of the grid ingest repairs
 _N_FOLDS = 3  # day folds of make_folds
 _NIGHT_W_PER_M2 = 5.0  # GHI at or below which mask_night calls it night
@@ -158,8 +158,8 @@ def _read_rows(path):
     return np.asarray(times, dtype=np.int64), np.asarray(vals, dtype=float)
 
 
-# write_table's time-stamp field: the digit positions hold '0' here
-_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z,", dtype=np.uint8)
+# write_table's time stamp in a 21-byte field: '0' at each digit, NUL pad
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z\0", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP == ord("0")
 _YEAR_ONE = np.datetime64("0001-01-01", "s")  # datetime's first day
 
@@ -169,48 +169,48 @@ def _read_table(path):
 
     The layout is: '#' comment lines, a header line starting with
     "timestamp,", then rows of "YYYY-MM-DDTHH:MM:SSZ," and one or more
-    value fields, in ASCII with LF line endings and no quotes.  The time
-    stamps are read as one byte array, checked for their separators and
-    digits, then parsed by numpy in one call, which refuses impossible
-    dates and times; the second column goes through one float() pass.
-    Any departure from the layout returns None, so that _read_rows reads
-    the file and its results and errors are those of the general parser.
+    value fields, in ASCII with LF line endings and no quotes.  numpy's C
+    reader reads each row's stamp as 21 bytes (a longer field is cut and
+    fails the NUL its last byte must be) and its value as a float; the
+    stamps are checked for separators and digits, then parsed in one call,
+    which refuses impossible dates and times.  Any departure from the
+    layout returns None, so that _read_rows reads the file and its results
+    and errors are those of the general parser.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii() or any(ch in data for ch in (b'"', b"\r", b"\0")):
         return None
-    lines = data.split(b"\n")
-    if lines[-1] == b"":
-        lines.pop()
-    head = 0
-    while head < len(lines) and lines[head].startswith(b"#"):
+    head = pos = 0
+    while data.startswith(b"#", pos):
+        pos = (data.find(b"\n", pos) + 1) or len(data)
         head += 1
-    if head == len(lines) or not lines[head].startswith(b"timestamp,"):
+    # rows after the header; loadtxt would skip a blank one, and warn on none
+    n_rows = data.count(b"\n", pos) - data.endswith(b"\n")
+    if (not data.startswith(b"timestamp,", pos) or n_rows == 0
+            or data.find(b"\n\n", pos) != -1):
         return None
-    rows = lines[head + 1:]
-    raw = np.frombuffer(b"".join([row[:_STAMP.size] for row in rows]),
-                        dtype=np.uint8)
-    if raw.size != _STAMP.size * len(rows):
+    try:
+        table = np.loadtxt(path, delimiter=",", usecols=(0, 1),
+                           skiprows=head + 1, comments=None,
+                           dtype=[("t", "S21"), ("v", "f8")], ndmin=1)
+    except ValueError:  # a missing field or a value float() may yet read
         return None
-    raw = raw.reshape(len(rows), _STAMP.size)
+    raw = np.frombuffer(table["t"].tobytes(), np.uint8).reshape(-1, 21)
     # uint8 arithmetic: any byte but '0'-'9' lands above 9
-    if (np.any(raw[:, ~_STAMP_DIGITS] != _STAMP[~_STAMP_DIGITS])
+    if (table.size != n_rows
+            or np.any(raw[:, ~_STAMP_DIGITS] != _STAMP[~_STAMP_DIGITS])
             or np.any(raw[:, _STAMP_DIGITS] - np.uint8(ord("0")) > 9)):
         return None
     try:
-        # the 19 bytes before "Z," of every row as one string each
+        # the 19 bytes before "Z" of every row as one string each
         stamps = (np.ascontiguousarray(raw[:, :19]).view("S19").ravel()
                   .astype("datetime64[s]"))
     except ValueError:  # Feb 30, hour 24, minute or second 60, ...
         return None
     if np.any(stamps < _YEAR_ONE):  # numpy reads year 0, datetime does not
         return None
-    try:
-        vals = np.array([float(row.split(b",", 2)[1]) for row in rows])
-    except ValueError:
-        return None
-    return stamps.astype(np.int64), vals
+    return stamps.astype(np.int64), np.ascontiguousarray(table["v"])
 
 
 def ingest_csv(path, unit: str) -> TimeSeries:
@@ -267,22 +267,21 @@ def write_table(path, timestamps, columns, header: str, comments=()):
     """Write one row per timestamp: its ISO time, then one value per column.
 
     '#' comment lines and the header line come first; LF line endings and
-    repr() digits, so every value reads back bit for bit.
+    repr() digits, so every value reads back bit for bit.  Each block of
+    rows is one write: one tolist() and repr pass per column, zipped.
     """
     with open(path, "w", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(header + "\n")
-        # one row of Python floats at a time, and time stamps formatted a
-        # block at a time: whole columns as Python objects would cost ~30
-        # bytes per value
         stamps = np.asarray(timestamps).astype("datetime64[s]")
-        rows = np.asarray(columns, dtype=float).T
-        for a in range(0, len(rows), _ROWS_PER_BLOCK):
+        columns = np.asarray(columns, dtype=float)
+        for a in range(0, stamps.size, _ROWS_PER_BLOCK):
             block = slice(a, a + _ROWS_PER_BLOCK)
-            for stamp, row in zip(np.datetime_as_string(
-                    stamps[block], unit="s").tolist(), rows[block]):
-                fh.write(f"{stamp}Z,{','.join(map(repr, row.tolist()))}\n")
+            fields = [np.datetime_as_string(stamps[block], unit="s",
+                                            timezone="UTC").tolist()]
+            fields += [map(repr, col) for col in columns[:, block].tolist()]
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_csv(series: TimeSeries, path, comments=()):

@@ -12,7 +12,7 @@ from pvdisagg.evaluation import (_BATTERY_KVA, _BATTERY_KWH, ScenarioSpec,
                                  generate_scenario, penetration_experiment,
                                  run_cv)
 from pvdisagg.methods import MethodParams
-from pvdisagg.solar import sun_position
+from pvdisagg.solar import PlaneConfig, build_bank, default_bank, sun_position
 from pvdisagg.timeseries import (SECONDS_PER_DAY, UNIT_KW, make_folds,
                                  resample_average)
 
@@ -137,6 +137,42 @@ def test_generator_is_deterministic():
     assert np.array_equal(a.ghi.values, b.ghi.values)
     assert np.array_equal(a.g_true.values, b.g_true.values)
     assert np.array_equal(a.bank.irradiance, b.bank.irradiance)
+
+
+_ONE_PLANE = ({"tilt": 30.0, "azimuth": 200.0, "kwp": 9.0},)
+_PLANES_25 = tuple({"tilt": 5.0 + 3.0 * i, "azimuth": 80.0 + 8.0 * i,
+                    "kwp": 0.5 + 0.25 * i} for i in range(25))
+
+
+@pytest.mark.parametrize("plant, exact, battery", [
+    (ScenarioSpec.plant, True, False),
+    (ScenarioSpec.plant, True, True),
+    (_ONE_PLANE, False, False),
+    (_PLANES_25, False, True),
+], ids=["default", "default-battery", "one-plane", "25-planes"])
+def test_generator_shares_one_solar_chain(plant, exact, battery):
+    """The plant and the candidate bank come from one build_bank call; each
+    matches its own build.  The candidate bank is bit for bit the 21-plane
+    build.  The plant's generation is too on the default plant; with
+    another plane count the transposition's product of plane normals and
+    sun vectors may take another BLAS path, so it agrees to rounding."""
+    spec = ScenarioSpec(days=2, period_s=60, seed=4, plant=plant,
+                        self_consumption=battery)
+    data = generate_scenario(spec)
+    alone = build_bank(data.ghi, data.t_air, spec.site, default_bank())
+    assert data.bank.planes == alone.planes
+    assert data.bank.irradiance.tobytes() == alone.irradiance.tobytes()
+
+    plant_bank = build_bank(data.ghi, data.t_air, spec.site,
+                            [PlaneConfig(p["tilt"], p["azimuth"])
+                             for p in plant])
+    kwp = np.array([p["kwp"] for p in plant])
+    g_v = (kwp @ plant_bank.irradiance) / 1000.0
+    if exact:
+        assert data.g_true.values.tobytes() == g_v.tobytes()
+    else:
+        assert np.max(np.abs(data.g_true.values - g_v)) \
+            <= 1e-12 * np.max(np.abs(g_v))
 
 
 def test_generator_seed_changes_the_draws():

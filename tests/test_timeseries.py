@@ -257,6 +257,19 @@ _NEAR_MISSES = {
     "no_header": _delete(1),
     "third_column": _replace(4, ",3.25", ",3.25,99.0"),
     "year_0": _replace(2, "2023-02-28T23:57", "0000-02-28T23:57"),
+    # values that numpy's float parser and float() may read differently
+    "underscore_value": _replace(4, ",3.25", ",1_0"),
+    "leading_space_value": _replace(4, ",3.25", ", 1.5"),
+    "trailing_space_value": _replace(4, ",3.25", ",1.5 "),
+    "plus_value": _replace(4, ",3.25", ",+1.5"),
+    "infinity_value": _replace(4, ",3.25", ",Infinity"),
+    "minus_nan_value": _replace(4, ",3.25", ",-nan"),
+    "hex_value": _replace(4, ",3.25", ",0x10"),
+    "fractional_seconds": _replace(4, "23:59:00Z", "23:59:00.5Z"),
+    "stamp_suffix": _replace(4, "Z,", "Zx,"),  # fills the 21st byte
+    "header_only": lambda lines: _text(lines[:2]),
+    "header_and_blank_line": lambda lines: _text(lines[:2] + [""]),
+    "one_row": lambda lines: _text(lines[:3]),
 }
 
 
@@ -282,6 +295,38 @@ def test_near_misses_read_as_the_row_parser_reads_them(tmp_path,
     assert got == _outcome(path)
     if case in ("as_written", "crlf", "offset", "quoted_stamp"):
         assert got == (series.start_epoch, 60, series.values.tobytes(), 0)
+
+
+def _reference_table(stamps, columns, header, comments):
+    """write_table's layout, one row at a time."""
+    out = [f"# {line}\n" for line in comments] + [header + "\n"]
+    for k, t in enumerate(stamps):
+        stamp = datetime.fromtimestamp(t, timezone.utc).isoformat()[:19]
+        out.append(f"{stamp}Z,"
+                   f"{','.join(map(repr, columns[:, k].tolist()))}\n")
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 21])
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 8193])
+@settings(derandomize=True, max_examples=3, deadline=None)
+@given(boundary=st.sampled_from(_BOUNDARIES),
+       period=st.sampled_from(_DAY_DIVISORS),
+       pattern=st.lists(st.sampled_from(_ODD_VALUES), min_size=1,
+                        max_size=50))
+def test_write_table_bytes_match_a_row_by_row_writer(
+        tmp_path_factory, n_rows, n_cols, boundary, period, pattern):
+    """Block boundaries leave no trace: the file is byte for byte the
+    per-row format, for row counts on both sides of a block's end
+    (timeseries._ROWS_PER_BLOCK is 4096)."""
+    start = min(boundary, _BOUNDARIES[-1] - period * max(n_rows - 1, 0))
+    stamps = max(start, _BOUNDARIES[0]) + period * np.arange(n_rows)
+    columns = np.resize(pattern, (n_cols, n_rows))
+    header = "timestamp," + ",".join(f"c{i}" for i in range(n_cols))
+    path = tmp_path_factory.mktemp("bytes") / "t.csv"
+    write_table(path, stamps, columns, header, comments=["provenance"])
+    assert path.read_bytes() == _reference_table(stamps, columns, header,
+                                                 ["provenance"])
 
 
 def test_tool_output_is_read_in_bulk(tmp_path):
