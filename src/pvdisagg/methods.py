@@ -349,7 +349,8 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
     """Band-pass both sides, then robust-regress P on the filtered bank.
 
     Filtering runs independently on each segment (so day boundaries
-    never leak through the filter), in one call per segment length; the
+    never leak through the filter), in one call per run of adjacent
+    segments of one length, each run a reshaped view of the series; the
     mask is applied to the filtered samples afterwards.  In the pass band
     the demand is attenuated away and P ~ -G, hence the design matrix
     -I_filtered/1000; the robust regression works on its J x J weighted
@@ -360,14 +361,18 @@ def fit_method_d(p: TimeSeries, bank: PlaneBank,
     filt = dsp.design_bandpass(f_low, f_high, 1.0 / p.period)
 
     lengths = np.diff(starts, append=k)
-    # one (segments, length) index array per distinct segment length
-    groups = [np.compress(lengths == n, starts)[:, None] + np.arange(n)
-              for n in np.unique(lengths)]
+    # (first sample, segments, length) of every maximal run of adjacent
+    # segments of one length
+    edges = [0, *(np.flatnonzero(np.diff(lengths)) + 1), lengths.size]
+    runs = [(int(starts[a]), b - a, int(lengths[a]))
+            for a, b in zip(edges[:-1], edges[1:])]
 
     def filtered(series):
         out = np.empty(k)
-        for rows in groups:
-            out[rows] = dsp.apply_array(filt, series[rows])
+        for a, m, n in runs:
+            span = slice(a, a + m * n)
+            out[span].reshape(m, n)[...] = dsp.apply_array(
+                filt, series[span].reshape(m, n))
         return out
 
     # only the kept rows of the design are stored, one plane per row

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -25,7 +28,12 @@ UNIT_CELSIUS = "celsius"
 _KNOWN_UNITS = (UNIT_KW, UNIT_W_PER_M2, UNIT_CELSIUS)
 
 SECONDS_PER_DAY = 86400
-_ROWS_PER_BLOCK = 4096  # rows write_table formats and writes at once
+# rows each of write_table's processes formats and writes at once; its
+# row ranges need not start on a block, since blocks leave no trace
+_ROWS_PER_BLOCK = 4096
+# data values (rows x columns) that earn write_table one more process:
+# about 30 ms of repr, against 1-2 ms to fork and under 1 ms to append
+_VALUES_PER_PROCESS = 2 ** 16
 _MAX_MISSING_FRACTION = 0.05  # largest share of the grid ingest repairs
 _N_FOLDS = 3  # day folds of make_folds
 _NIGHT_W_PER_M2 = 5.0  # GHI at or below which mask_night calls it night
@@ -263,25 +271,110 @@ def ingest_csv(path, unit: str) -> TimeSeries:
     return TimeSeries(int(t[0]), period, full, unit, repaired=missing)
 
 
+def _write_processes(n_values: int) -> int:
+    """Processes write_table formats n_values data values in: one per
+    full _VALUES_PER_PROCESS, at most one per usable CPU, and one where
+    the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_values // _VALUES_PER_PROCESS))
+
+
+def _row_text(stamps, columns, rows: range):
+    """The text of the given rows, one block of _ROWS_PER_BLOCK rows at a
+    time: one tolist() and repr pass per column, zipped into rows."""
+    for a in range(rows.start, rows.stop, _ROWS_PER_BLOCK):
+        block = slice(a, min(a + _ROWS_PER_BLOCK, rows.stop))
+        fields = [np.datetime_as_string(stamps[block], unit="s",
+                                        timezone="UTC").tolist()]
+        fields += [map(repr, col) for col in columns[:, block].tolist()]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+
+
+def _fork_writer(part, stamps, columns, rows: range) -> int:
+    """Fork a worker that writes the text of rows into the file part and
+    leaves through os._exit, with status 0 once it has flushed and 1 on
+    any exception, which it names on stderr; return its pid."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            part.writelines(text.encode()
+                            for text in _row_text(stamps, columns, rows))
+            part.flush()
+            os._exit(0)
+        except BaseException as exc:
+            os.write(2, f"write_table worker, rows {rows.start}-"
+                        f"{rows.stop - 1}: {exc!r}\n".encode())
+        finally:
+            os._exit(1)
+    return pid
+
+
 def write_table(path, timestamps, columns, header: str, comments=()):
     """Write one row per timestamp: its ISO time, then one value per column.
 
     '#' comment lines and the header line come first; LF line endings and
-    repr() digits, so every value reads back bit for bit.  Each block of
-    rows is one write: one tolist() and repr pass per column, zipped.
+    repr() digits, so every value reads back bit for bit.  columns holds
+    one row of values per column, each as long as timestamps; any other
+    shape raises ValueError before the file is opened.
+
+    The rows are formatted in _write_processes(rows x columns) processes,
+    each taking one contiguous range, and the bytes do not depend on how
+    many.  This process writes the comments, the header and the first
+    range; each further range goes to a forked worker, which formats it
+    into an unnamed temporary file in path's directory and leaves through
+    os._exit, so it never flushes this process's buffers, runs no exit
+    handler, calls no BLAS and takes no lock another thread may hold.
+    The files are appended in range order.  A worker that fails raises
+    OSError naming path, and no worker or temporary file outlives the
+    call.  Python 3.12 and later
+    warn when a process with more than one thread forks, as one does once
+    a BLAS library has started its own threads; the workers never call
+    into BLAS, so the state of those threads is never used.
     """
-    with open(path, "w", newline="\n") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        stamps = np.asarray(timestamps).astype("datetime64[s]")
-        columns = np.asarray(columns, dtype=float)
-        for a in range(0, stamps.size, _ROWS_PER_BLOCK):
-            block = slice(a, a + _ROWS_PER_BLOCK)
-            fields = [np.datetime_as_string(stamps[block], unit="s",
-                                            timezone="UTC").tolist()]
-            fields += [map(repr, col) for col in columns[:, block].tolist()]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+    stamps = np.asarray(timestamps).astype("datetime64[s]")
+    columns = np.asarray(columns, dtype=float)
+    if (stamps.ndim != 1 or columns.ndim != 2
+            or columns.shape[1] != stamps.size):
+        raise ValueError(
+            f"write_table needs one value per timestamp in each column: "
+            f"{stamps.shape} timestamps, columns of shape {columns.shape}")
+    n_proc = _write_processes(columns.size)
+    bounds = [stamps.size * i // n_proc for i in range(n_proc + 1)]
+    ranges = [range(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    parts, running = [], []  # workers' temporary files; workers not reaped
+    try:
+        with open(path, "w", newline="\n") as fh:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            fh.write(header + "\n")
+            for rows in ranges[1:]:
+                parts.append(tempfile.TemporaryFile(
+                    dir=os.path.dirname(os.path.abspath(path))))
+                running.append(_fork_writer(parts[-1], stamps, columns,
+                                            rows))
+            fh.writelines(_row_text(stamps, columns, ranges[0]))
+            fh.flush()
+            for part, rows in zip(parts, ranges[1:]):
+                status = os.waitpid(running[0], 0)[1]
+                running.pop(0)
+                code = os.waitstatus_to_exitcode(status)
+                if code != 0:
+                    raise OSError(f"writing {path}: the worker formatting "
+                                  f"rows {rows.start}-{rows.stop - 1} "
+                                  f"exited with {code}")
+                part.seek(0)
+                shutil.copyfileobj(part, fh.buffer)
+    finally:
+        for pid in running:
+            os.kill(pid, 9)  # SIGKILL; the signal module stays unloaded
+            os.waitpid(pid, 0)
+        for part in parts:
+            part.close()
 
 
 def write_csv(series: TimeSeries, path, comments=()):

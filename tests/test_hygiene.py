@@ -1,6 +1,6 @@
 """Hygiene of the package modules, checked on their syntax trees.
 
-Eleven rules: a module uses every name it imports (``__init__.py`` is
+Twelve rules: a module uses every name it imports (``__init__.py`` is
 exempt, since its imports are the package's re-exports); no function
 imports a package module locally, since such imports go at the top of
 the module, where every reader sees the module's dependencies; every
@@ -25,7 +25,11 @@ imports ``scipy.signal``, by statement or ``import_module``, since
 loading it pulls in ``scipy.stats`` and costs more time and memory than
 every fit of a sweep, while the band-pass filter needs numpy only; and
 the package imports no scipy module at all, since every solver is numpy
-only, so that no command loads scipy.
+only, so that no command loads scipy; and only ``timeseries`` forks
+and no module imports ``multiprocessing``, ``subprocess``,
+``concurrent`` or ``threading``, so the package starts no thread, and
+no process but ``write_table``'s workers, which it reaps before it
+returns.
 """
 
 import ast
@@ -284,8 +288,8 @@ def assert_statements(tree) -> list:
             if isinstance(node, ast.Assert)]
 
 
-def scipy_imports(tree) -> list:
-    """Every import of scipy or a name in it in tree, by an import
+def module_imports(tree) -> list:
+    """Every import of a module or a name in it in tree, by an import
     statement or an import_module call, as (owner, name, line) with owner
     the innermost enclosing function (``<module>`` outside any)."""
     found = []
@@ -304,12 +308,33 @@ def scipy_imports(tree) -> list:
                          if isinstance(a, ast.Constant)]
             else:
                 names = []
-            found.extend((owner, name, child.lineno) for name in names
-                         if name == "scipy" or name.startswith("scipy."))
+            found.extend((owner, name, child.lineno) for name in names)
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
     visit(tree, "<module>")
     return found
+
+
+def scipy_imports(tree) -> list:
+    """module_imports of scipy or a name in it."""
+    return [(owner, name, line) for owner, name, line in module_imports(tree)
+            if name == "scipy" or name.startswith("scipy.")]
+
+
+_CONCURRENCY = ("multiprocessing", "subprocess", "concurrent", "threading")
+
+
+def process_starts(tree) -> list:
+    """Every fork in tree, as ``os.fork`` or an attribute or a name
+    imported from os, and every import of a module of _CONCURRENCY or a
+    name in it, by name and line."""
+    forks = [f"fork (line {node.lineno})" for node in ast.walk(tree)
+             if (isinstance(node, ast.Attribute) and node.attr == "fork")
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and any(alias.name == "fork" for alias in node.names))]
+    return forks + [f"{name} (line {line})"
+                    for _, name, line in module_imports(tree)
+                    if name.split(".")[0] in _CONCURRENCY]
 
 
 def scipy_signal_imports(tree) -> list:
@@ -374,6 +399,12 @@ def test_no_scipy_signal_import(path):
 
 def test_no_scipy_import():
     assert sum((scipy_imports(_tree(path)) for path in MODULES), []) == []
+
+
+def test_only_write_table_starts_processes():
+    found = {p.name: process_starts(_tree(p)) for p in MODULES}
+    assert {f.split()[0] for f in found.pop("timeseries.py")} <= {"fork"}
+    assert sum(found.values(), []) == []
 
 
 def test_checks_catch_what_they_forbid():
@@ -453,3 +484,13 @@ def test_checks_catch_what_they_forbid():
         ("<module>", "scipy.signal", 3), ("<module>", "scipy.optimize", 3),
         ("<module>", "scipy.signal.butter", 4), ("f", "scipy.signal", 6),
         ("f", "scipy.optimize", 7), ("f", "scipy.signalling.x", 8)]
+    starts = ast.parse("import os, threading\nfrom os import fork, getpid\n"
+                       "from concurrent.futures import ProcessPoolExecutor\n"
+                       "def f():\n    import subprocess as sp\n"
+                       "    pid = os.fork()\n"
+                       "    import_module('multiprocessing.pool')\n"
+                       "    return os.forkpty, threading_local, sp, pid\n")
+    assert process_starts(starts) == [
+        "fork (line 2)", "fork (line 6)", "threading (line 1)",
+        "concurrent.futures.ProcessPoolExecutor (line 3)",
+        "subprocess (line 5)", "multiprocessing.pool (line 7)"]

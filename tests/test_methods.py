@@ -386,13 +386,14 @@ def test_method_d_filters_each_segment_on_its_own():
 
 
 def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
-    """D filters each column's segments of one length as the rows of one
-    call, so segments of three lengths, equal ones not adjacent, take
-    three calls per column; every segment comes out as filtering it
-    alone would give, to 1e-11 of its size (the filter's block products
-    may round differently for another number of rows)."""
-    starts = (0, 2880, 4380, 7260)  # lengths 2880, 1500, 2880, 1000
-    k = 8260
+    """D filters each run of adjacent segments of one length as the rows
+    of one call, so five segments in four runs (two equal ones adjacent,
+    a third of their length apart from them) take four calls per column;
+    every segment comes out as filtering it alone would give, to 1e-11
+    of its size (the filter's block products may round differently for
+    another number of rows)."""
+    starts = (0, 2880, 5760, 7260, 10140)  # 2880, 2880, 1500, 2880, 1000
+    k = 11140
     bank = textured_bank(k, 30)
     p_vals = (np.random.default_rng(22).normal(5.0, 1.0, k)
               - 1.2 * bank.irradiance[0] / 1000.0)
@@ -411,8 +412,8 @@ def test_method_d_stacked_filtering_equals_per_segment(monkeypatch):
     monkeypatch.setattr(dsp, "apply_array", counted_apply)
     fit_method_d(ts(p_vals, 30), bank, 1 / 600, 1 / 120, starts=starts)
     monkeypatch.undo()
-    assert sorted(calls[:3]) == [(1, 1000), (1, 1500), (2, 2880)]
-    assert len(calls) == 3 * (1 + bank.n_planes)
+    assert calls[:4] == [(2, 2880), (1, 1500), (1, 2880), (1, 1000)]
+    assert len(calls) == 4 * (1 + bank.n_planes)
     filt = dsp.design_bandpass(1 / 600, 1 / 120, 1 / 30)
     for a, b in zip(starts, starts[1:] + (k,)):
         alone = dsp.apply_array(filt, p_vals[a:b])

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from datetime import datetime, timezone
 
 import numpy as np
@@ -327,6 +329,99 @@ def test_write_table_bytes_match_a_row_by_row_writer(
     write_table(path, stamps, columns, header, comments=["provenance"])
     assert path.read_bytes() == _reference_table(stamps, columns, header,
                                                  ["provenance"])
+
+
+def _split_writes(monkeypatch, cpus):
+    """Make write_table use every one of cpus CPUs on any table, and
+    return the list each fork appends to; one CPU may not fork."""
+    monkeypatch.setattr(timeseries, "_VALUES_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        if cpus == 1:
+            raise AssertionError("write_table forked with one CPU")
+        forks.append(os.getpid())
+        return real_fork()
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("n_cols", [1, 2, 21])
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_split_write_bytes_match_a_row_by_row_writer(tmp_path, monkeypatch,
+                                                     n_rows, n_cols, cpus):
+    """Row ranges leave no trace: formatted in one, two or four
+    processes, the file is byte for byte the per-row format, and each
+    further process is one fork."""
+    forks = _split_writes(monkeypatch, cpus)
+    rng = np.random.default_rng(n_rows * 100 + n_cols)
+    pattern = np.concatenate((_ODD_VALUES, rng.normal(scale=1e3, size=40)))
+    columns = np.resize(pattern, (n_cols, n_rows))
+    stamps = _BOUNDARIES[7] + 10 * np.arange(n_rows)  # over New Year
+    header = "timestamp," + ",".join(f"c{i}" for i in range(n_cols))
+    path = tmp_path / "t.csv"
+    write_table(path, stamps, columns, header, comments=["provenance"])
+    assert path.read_bytes() == _reference_table(stamps, columns, header,
+                                                 ["provenance"])
+    assert len(forks) == max(1, min(cpus, n_rows * n_cols)) - 1
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize("n_stamps,n_samples", [(10, 7), (3, 7), (0, 1)])
+def test_write_table_refuses_columns_of_another_length(tmp_path, n_stamps,
+                                                       n_samples):
+    """Every column needs one value per time stamp; a mismatch raises
+    before the file exists, instead of writing the shorter length."""
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="one value per timestamp"):
+        write_table(path, START + 10 * np.arange(n_stamps),
+                    np.ones((2, n_samples)), "timestamp,a,b")
+    assert not path.exists()
+
+
+def _failing_range(monkeypatch, failing_start):
+    """Make the range that starts at row failing_start raise, and every
+    other range wait long enough to be killed."""
+    real = timeseries._row_text
+
+    def row_text(stamps, columns, rows):
+        if rows.start == failing_start:
+            raise RuntimeError(f"range at {rows.start}")
+        if rows.start > 0:
+            time.sleep(60)
+        return real(stamps, columns, rows)
+    monkeypatch.setattr(timeseries, "_row_text", row_text)
+
+
+def _assert_nothing_left(tmp_path):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+@pytest.mark.parametrize("failing_start", [0, 4])
+def test_a_failed_split_write_leaves_no_process_or_file(
+        tmp_path, monkeypatch, capfd, failing_start):
+    """A worker's failure is an OSError naming the file, and the worker
+    names its exception on stderr; a failure in this process's own range
+    propagates as it is.  Either way every worker is reaped (the others
+    are killed) and no temporary file remains."""
+    _split_writes(monkeypatch, 4)
+    _failing_range(monkeypatch, failing_start)
+    path = tmp_path / "t.csv"
+    t0 = time.perf_counter()
+    expected = (RuntimeError, "range at 0") if failing_start == 0 else (
+        OSError, f"writing {path}: the worker formatting rows 4-7")
+    with pytest.raises(expected[0], match=expected[1]):
+        write_table(path, START + 10 * np.arange(16), np.ones((1, 16)),
+                    "timestamp,value")
+    assert time.perf_counter() - t0 < 30  # the sleeping workers were killed
+    _assert_nothing_left(tmp_path)
+    named = "write_table worker, rows 4-7: RuntimeError('range at 4')"
+    assert (named in capfd.readouterr().err) == (failing_start == 4)
 
 
 def test_tool_output_is_read_in_bulk(tmp_path):
